@@ -106,14 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("PATLAB_BUDGET")
-    if env is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("PATLAB_BUDGET")
+        if env is None:
+            return DEFAULT_NODE_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), "PATLAB_BUDGET"
         except ValueError:
             raise UsageError(f"PATLAB_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_NODE_BUDGET
+    if budget < 1:
+        raise UsageError(f"{source} must be >= 1, got {budget}")
+    return budget
 
 
 def _check_n(n: int) -> int:
@@ -328,8 +332,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -1,12 +1,23 @@
 """Exact enumeration of Av_n(Q) for finite classical bases Q.
 
 The engine is a depth-first generating tree: children of an avoider arise by
-inserting the new maximum n+1 at each of the n+1 slots, and a branch is cut
-as soon as the child contains a basis pattern. Soundness rests on deletion
-closure: removing the maximum from an avoider leaves an avoider. A child
-needs checking only against occurrences that use the newly inserted maximum,
-which must sit at the pattern's own maximum; that restriction is the key
-pruning optimization and is validated against the brute-force filter oracle.
+inserting the new maximum n+1 at one of the n+1 slots (slot s puts it before
+position s). Soundness rests on deletion closure: removing the maximum from
+an avoider leaves an avoider.
+
+Every node carries an int bitmask of its dead slots, the slots whose
+insertion would create a basis pattern. For a basis pattern q, let q' be q
+without its maximum. Inserting a maximum at slot s of an avoider creates q
+exactly when some occurrence of q' straddles s: the entries left of q's
+maximum lie before the slot, the rest at or after it. An occurrence therefore
+kills the slot range (a, b], where a is the position of the entry just left
+of q's maximum (-1 if none) and b the position of the entry just right of it
+(the length if none). A child keeps its parent's dead slots, shifted past the
+inserted maximum; the only new ones come from occurrences of q' that use the
+new maximum, which must play the maximum of q'. So each child costs one
+search per basis pattern with that entry pinned, and the last level is
+counted from its parents' masks without building a permutation. The
+brute-force filter is the oracle this answers to.
 
 Counting mode never materializes permutations. Enumeration mode either
 streams nodes to a callback (sequential) or returns sets. The traversal may
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,6 +90,13 @@ def avoids_basis(p: Perm, basis: PatternBasis) -> bool:
     return all(not contains(p, q) for q in basis.patterns)
 
 
+def _budget_exhausted(limit: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"node budget of {limit} exhausted; the request is beyond "
+        "desk scale (raise it with --budget or PATLAB_BUDGET)"
+    )
+
+
 class _NodeBudget:
     __slots__ = ("remaining", "limit")
 
@@ -88,97 +107,204 @@ class _NodeBudget:
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise BudgetExceededError(
-                f"node budget of {self.limit} exhausted; the request is beyond "
-                "desk scale (raise it with --budget or PATLAB_BUDGET)"
-            )
+            raise _budget_exhausted(self.limit)
 
 
-def _basis_info(basis: PatternBasis) -> tuple[tuple, ...]:
-    info = []
-    for q in basis.patterns:
-        if len(q) == 0:
+class _SharedBudget:
+    """A worker's share of a node budget held in a shared counter; nodes are
+    charged to it in batches of ``_BUDGET_BATCH`` to keep the lock cold."""
+
+    __slots__ = ("shared", "limit", "pending")
+
+    def __init__(self, shared, limit: int):
+        self.shared = shared
+        self.limit = limit
+        self.pending = 0
+
+    def spend(self, amount: int = 1) -> None:
+        self.pending += amount
+        if self.pending >= _BUDGET_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        with self.shared.get_lock():
+            self.shared.value += self.pending
+            self.pending = 0
+            if self.shared.value > self.limit:
+                raise _budget_exhausted(self.limit)
+
+
+def _limit(node_budget: int | None) -> int:
+    return DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+
+
+# -- the generating-tree kernel ---------------------------------------------
+
+
+def _kill_table(patterns) -> tuple[tuple, ...]:
+    """One entry ``(len q', m, m2, lo_ref, hi_ref)`` per basis pattern q of
+    length >= 2, where q' is q without its maximum, m the position of q's
+    maximum, m2 that of q''s maximum, and the refs are q''s value bounds."""
+    table = []
+    for q in patterns:
+        k = len(q)
+        if k < 2:
             continue
-        lo, hi = _bound_refs(q)
-        info.append((q, q.index(len(q)), lo, hi, len(q)))
-    return tuple(info)
+        m = q.index(k)
+        q1 = q[:m] + q[m + 1 :]
+        lo_ref, hi_ref = _bound_refs(q1)
+        table.append((k - 1, m, q1.index(k - 1), lo_ref, hi_ref))
+    return tuple(table)
 
 
-def _insertion_creates(p: Perm, slot: int, q: Perm, m_pos: int, lo_ref, hi_ref, k: int) -> bool:
-    """Does inserting a new maximum at ``slot`` of ``p`` create an occurrence
-    of ``q``? The new maximum can only play q's own maximum, so we match the
-    remaining entries with the prefix strictly before the slot and the suffix
-    at or after it."""
-    n = len(p)
-    if k - 1 > n:
-        return False
-    if k == 1:
-        return True
-    vals = [0] * k
-    big = n + 2
-
-    def descend(t: int, start: int) -> bool:
-        if t < m_pos:
-            first = start
-            last = slot - m_pos + t
-        else:
-            first = start if start > slot else slot
-            last = n - k + t
-        lo = vals[lo_ref[t]] if lo_ref[t] >= 0 else 0
-        h = hi_ref[t]
-        hi = vals[h] if (h >= 0 and h != m_pos) else big
-        for pos in range(first, last + 1):
-            v = p[pos]
-            if lo < v < hi:
-                vals[t] = v
-                nxt = t + 1
-                if nxt == m_pos:
-                    nxt += 1
-                if nxt == k:
-                    return True
-                if descend(nxt, pos + 1):
-                    return True
-        return False
-
-    t0 = 1 if m_pos == 0 else 0
-    return descend(t0, 0)
+def _child_mask(c: Perm, s0: int, dead: int, table) -> int:
+    """Dead slots of child ``c``, made by inserting its maximum at slot
+    ``s0`` of a parent whose dead slots are ``dead``."""
+    # parent slot t <= s0 is child slot t, and t >= s0 is child slot t + 1
+    mask = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1))
+    n = len(c)
+    for entry in table:
+        kq, m, m2 = entry[0], entry[1], entry[2]
+        if m2 <= s0 and kq - m2 <= n - s0:
+            vals = [0] * kq
+            if m:
+                mask = _kills_left(c, s0, mask, entry, vals, 0, 0)
+            else:
+                mask = _kills_right(c, s0, mask, entry, vals, -1, 0)
+    return mask
 
 
-def _has_empty_pattern(basis: PatternBasis) -> bool:
-    return any(len(q) == 0 for q in basis.patterns)
+# The three searches below place q' indices in order, each at increasing
+# positions of c, with index m2 pinned to s0: t < m2 ends by s0 - m2 + t,
+# t > m2 by len(c) - len(q') + t.
 
 
-def _visit_tree(
-    basis: PatternBasis,
-    max_n: int,
-    visit: Callable[[Perm], None],
-    budget: _NodeBudget,
-) -> None:
-    """Call ``visit`` on every avoider of length <= max_n, depth first."""
-    if _has_empty_pattern(basis):
+def _kills_left(c: Perm, s0: int, dead: int, entry, vals: list, t: int, start: int) -> int:
+    """Place index t < m of q'; each complete left part fixes a = the
+    position of index m-1 and is extended by ``_kills_right``."""
+    kq, m, m2, lo_ref, hi_ref = entry
+    n = len(c)
+    first = s0 if t == m2 else start
+    last = s0 - m2 + t if t <= m2 else n - kq + t
+    r = lo_ref[t]
+    lo = vals[r] if r >= 0 else 0
+    r = hi_ref[t]
+    hi = vals[r] if r >= 0 else n + 1
+    # kills lie right of s0 when it plays an index left of q's maximum
+    # (a >= s0), and at or left of it otherwise (b <= s0)
+    window = (1 << (s0 + 1)) - 1
+    if m2 < m:
+        window ^= (1 << (n + 1)) - 1
+    for pos in range(first, last + 1):
+        # a >= pos + m - 1 - t, so this and every later pos only kill slots
+        # from pos + m - t on
+        if not (window & ~dead) >> (pos + m - t):
+            break
+        v = c[pos]
+        if lo < v < hi:
+            vals[t] = v
+            if t + 1 == m:
+                dead = _kills_right(c, s0, dead, entry, vals, pos, pos + 1)
+            else:
+                dead = _kills_left(c, s0, dead, entry, vals, t + 1, pos + 1)
+    return dead
+
+
+def _kills_right(c: Perm, s0: int, dead: int, entry, vals: list, a: int, start: int) -> int:
+    """Add the widest range (a, b] over the completions of a left part,
+    where b is the position of index m (len(c) when q's maximum is last).
+    b is tried from the largest down, and a range already dead stops the
+    search: every smaller b kills a subset of it."""
+    kq, m, m2, lo_ref, hi_ref = entry
+    n = len(c)
+    above_a = ~((1 << (a + 1)) - 1)
+    if m == kq:
+        return dead | (((1 << (n + 1)) - 1) & above_a)
+    first = s0 if m == m2 else start
+    last = s0 - m2 + m if m <= m2 else n - kq + m
+    r = lo_ref[m]
+    lo = vals[r] if r >= 0 else 0
+    r = hi_ref[m]
+    hi = vals[r] if r >= 0 else n + 1
+    for b in range(last, first - 1, -1):
+        span = ((1 << (b + 1)) - 1) & above_a
+        if not span & ~dead:
+            break
+        v = c[b]
+        if lo < v < hi:
+            vals[m] = v
+            if m + 1 == kq or _completes(c, s0, entry, vals, m + 1, b + 1):
+                return dead | span
+    return dead
+
+
+def _completes(c: Perm, s0: int, entry, vals: list, t: int, start: int) -> bool:
+    """Can q' indices t..len(q')-1 be placed from position ``start`` on?"""
+    kq, m, m2, lo_ref, hi_ref = entry
+    n = len(c)
+    first = s0 if t == m2 else start
+    last = s0 - m2 + t if t <= m2 else n - kq + t
+    r = lo_ref[t]
+    lo = vals[r] if r >= 0 else 0
+    r = hi_ref[t]
+    hi = vals[r] if r >= 0 else n + 1
+    for pos in range(first, last + 1):
+        v = c[pos]
+        if lo < v < hi:
+            if t + 1 == kq:
+                return True
+            vals[t] = v
+            if _completes(c, s0, entry, vals, t + 1, pos + 1):
+                return True
+    return False
+
+
+def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> None:
+    """Add every strict descendant of ``p`` (dead slots ``dead``) of length
+    <= max_n to ``counts`` by length, charging one budget unit per node.
+
+    ``emit``, when given, is called as ``emit(child, mask)`` on each
+    descendant, where ``mask`` is its dead-slot mask (None at length max_n,
+    which is never expanded); a true return cuts the child's subtree. Without
+    ``emit`` the last level is counted from the live slots alone."""
+    n1 = len(p) + 1
+    live = ~dead & ((1 << n1) - 1)
+    if emit is None and n1 == max_n:
+        found = live.bit_count()
+        counts[n1] += found
+        budget.spend(found)
         return
-    info = _basis_info(basis)
+    deeper = n1 < max_n
+    mask = None
+    while live:
+        low = live & -live
+        live ^= low
+        s0 = low.bit_length() - 1
+        child = p[:s0] + (n1,) + p[s0:]
+        counts[n1] += 1
+        budget.spend()
+        if deeper:
+            mask = _child_mask(child, s0, dead, table)
+        if emit is not None and emit(child, mask):
+            continue
+        if deeper:
+            _grow(child, mask, table, max_n, counts, budget, emit)
+
+
+def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:
+    """Run the kernel from the root (); counts of avoiders by length."""
+    counts = [0] * (max_n + 1)
+    if any(len(q) == 0 for q in basis.patterns):
+        return counts
+    # the root's one slot is dead iff a pattern of length 1 forbids everything
+    dead = int(any(len(q) == 1 for q in basis.patterns))
+    counts[0] = 1
     budget.spend()
-    visit(())
-    if max_n == 0:
-        return
-
-    def rec(p: Perm) -> None:
-        n1 = len(p) + 1
-        for slot in range(n1):
-            clean = True
-            for q, m_pos, lo, hi, k in info:
-                if _insertion_creates(p, slot, q, m_pos, lo, hi, k):
-                    clean = False
-                    break
-            if clean:
-                child = p[:slot] + (n1,) + p[slot:]
-                budget.spend()
-                visit(child)
-                if n1 < max_n:
-                    rec(child)
-
-    rec(())
+    if emit is not None and emit((), dead if max_n else None):
+        return counts
+    if max_n:
+        _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, emit)
+    return counts
 
 
 def walk_avoiders(
@@ -191,7 +317,7 @@ def walk_avoiders(
     """Stream every avoider of length <= max_n to ``visit`` (sequential)."""
     if max_n < 0:
         raise UsageError(f"max_n must be >= 0, got {max_n}")
-    _visit_tree(basis, max_n, visit, _NodeBudget(node_budget or DEFAULT_NODE_BUDGET))
+    _walk(basis, max_n, _NodeBudget(_limit(node_budget)), lambda p, _mask: visit(p))
 
 
 def enumerate_avoiders(
@@ -202,11 +328,11 @@ def enumerate_avoiders(
         raise UsageError(f"n must be >= 0, got {n}")
     out: set[Perm] = set()
 
-    def visit(p: Perm) -> None:
+    def visit(p: Perm, _mask) -> None:
         if len(p) == n:
             out.add(p)
 
-    _visit_tree(basis, n, visit, _NodeBudget(node_budget or DEFAULT_NODE_BUDGET))
+    _walk(basis, n, _NodeBudget(_limit(node_budget)), visit)
     return out
 
 
@@ -217,11 +343,7 @@ def levels_avoiders(
     if max_n < 0:
         raise UsageError(f"max_n must be >= 0, got {max_n}")
     out: dict[int, set[Perm]] = {n: set() for n in range(max_n + 1)}
-
-    def visit(p: Perm) -> None:
-        out[len(p)].add(p)
-
-    _visit_tree(basis, max_n, visit, _NodeBudget(node_budget or DEFAULT_NODE_BUDGET))
+    _walk(basis, max_n, _NodeBudget(_limit(node_budget)), lambda p, _mask: out[len(p)].add(p))
     return out
 
 
@@ -236,26 +358,16 @@ def count_sequence(
     permutations; deterministic regardless of the parallel flag."""
     if max_n < 0:
         raise UsageError(f"max_n must be >= 0, got {max_n}")
-    limit = node_budget or DEFAULT_NODE_BUDGET
+    limit = _limit(node_budget)
     if parallel and max_n >= _PARALLEL_MIN_N and _fork_available():
         counts = _count_parallel(basis, max_n, limit)
     else:
-        counts = _count_sequential(basis, max_n, limit)
+        counts = _walk(basis, max_n, _NodeBudget(limit))
     return CountSequence(
         basis_label=basis.label,
         counts=tuple((n, counts[n]) for n in range(max_n + 1)),
         method="pruned_tree",
     )
-
-
-def _count_sequential(basis: PatternBasis, max_n: int, limit: int) -> list[int]:
-    counts = [0] * (max_n + 1)
-
-    def visit(p: Perm) -> None:
-        counts[len(p)] += 1
-
-    _visit_tree(basis, max_n, visit, _NodeBudget(limit))
-    return counts
 
 
 # -- parallel counting ------------------------------------------------------
@@ -273,75 +385,49 @@ def _fork_available() -> bool:
         return False
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _init_count_worker(patterns, max_n, shared, limit):
-    _worker_cfg["info"] = _basis_info(PatternBasis(patterns))
+    _worker_cfg["table"] = _kill_table(patterns)
     _worker_cfg["max_n"] = max_n
     _worker_cfg["shared"] = shared
     _worker_cfg["limit"] = limit
 
 
-def _count_subtree(root: Perm) -> list[int]:
-    """Count strict descendants of ``root`` by depth (worker side)."""
-    info = _worker_cfg["info"]
+def _count_subtree(job: tuple[Perm, int]) -> list[int]:
+    """Count strict descendants of a (root, dead-slot mask) pair by depth
+    (worker side)."""
+    root, dead = job
     max_n = _worker_cfg["max_n"]
-    shared = _worker_cfg["shared"]
-    limit = _worker_cfg["limit"]
     counts = [0] * (max_n + 1)
-    pending = 0
-
-    def charge(amount: int) -> None:
-        with shared.get_lock():
-            shared.value += amount
-            if shared.value > limit:
-                raise BudgetExceededError(
-                    f"node budget of {limit} exhausted; the request is beyond "
-                    "desk scale (raise it with --budget or PATLAB_BUDGET)"
-                )
-
-    def rec(p: Perm) -> None:
-        nonlocal pending
-        n1 = len(p) + 1
-        for slot in range(n1):
-            clean = True
-            for q, m_pos, lo, hi, k in info:
-                if _insertion_creates(p, slot, q, m_pos, lo, hi, k):
-                    clean = False
-                    break
-            if clean:
-                counts[n1] += 1
-                pending += 1
-                if pending >= _BUDGET_BATCH:
-                    charge(pending)
-                    pending = 0
-                if n1 < max_n:
-                    child = p[:slot] + (n1,) + p[slot:]
-                    rec(child)
-
-    rec(root)
-    if pending:
-        charge(pending)
+    budget = _SharedBudget(_worker_cfg["shared"], _worker_cfg["limit"])
+    _grow(root, dead, _worker_cfg["table"], max_n, counts, budget, None)
+    budget.flush()
     return counts
 
 
 def _count_parallel(basis: PatternBasis, max_n: int, limit: int) -> list[int]:
     split = min(_PARALLEL_SPLIT_DEPTH, max_n - 1)
     budget = _NodeBudget(limit)
-    counts = [0] * (max_n + 1)
-    roots: list[Perm] = []
+    roots: list[tuple[Perm, int]] = []
 
-    def visit(p: Perm) -> None:
-        counts[len(p)] += 1
-        if len(p) == split:
-            roots.append(p)
+    def cut(p: Perm, dead: int) -> bool:
+        if len(p) < split:
+            return False
+        roots.append((p, dead))
+        return True
 
-    _visit_tree(basis, split, visit, budget)
+    counts = _walk(basis, max_n, budget, cut)
     if not roots:
         return counts
     ctx = multiprocessing.get_context("fork")
-    used = limit - budget.remaining
-    shared = ctx.Value("q", used)
-    procs = min(os.cpu_count() or 1, len(roots))
+    procs = min(_usable_cpus(), len(roots))
     try:
+        shared = ctx.Value("q", limit - budget.remaining)
         with ctx.Pool(
             processes=procs,
             initializer=_init_count_worker,
@@ -349,10 +435,14 @@ def _count_parallel(basis: PatternBasis, max_n: int, limit: int) -> list[int]:
         ) as pool:
             chunk = max(1, len(roots) // (4 * procs))
             vectors = pool.map(_count_subtree, roots, chunksize=chunk)
-    except (OSError, PermissionError):
+    except OSError as exc:
         # sandboxed environments without process support: results are
-        # identical either way, so fall back quietly
-        return _count_sequential(basis, max_n, limit)
+        # identical either way
+        print(
+            f"patlab: worker processes unavailable ({exc}); counted sequentially",
+            file=sys.stderr,
+        )
+        return _walk(basis, max_n, _NodeBudget(limit))
     for vec in vectors:
         for n in range(split + 1, max_n + 1):
             counts[n] += vec[n]

@@ -48,7 +48,7 @@ def check_perm(values: Iterable[int]) -> Perm:
         return p
     seen = [False] * (n + 1)
     for v in p:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n or seen[v]:
             raise UsageError(f"not a permutation of 1..{n}: {p!r}")
         seen[v] = True
     return p

@@ -46,6 +46,15 @@ class TestCount:
         assert out == ""
         assert target.read_text() == "n,count\n0,1\n1,1\n2,2\n3,5\n"
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.csv"
+        code, out, err = run(
+            capsys, "count", "--class", "123", "--n", "3", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "report.csv" in err
+
 
 class TestDeterminism:
     def test_identical_bytes_across_runs_and_modes(self, capsys):
@@ -222,6 +231,20 @@ class TestUsageErrors:
         code, _, err = run(capsys, "count", "--class", "123", "--n", "8")
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_budget_flag(self, capsys, value):
+        code, out, err = run(capsys, "count", "--class", "123", "--n", "3", "--budget", value)
+        assert code == 2
+        assert out == ""
+        assert "--budget must be >= 1" in err
+
+    def test_non_positive_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATLAB_BUDGET", "0")
+        code, out, err = run(capsys, "count", "--class", "123", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "PATLAB_BUDGET must be >= 1" in err
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PATLAB_BUDGET", "10")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import patlab.enumeration as enumeration
 from conftest import oracle_avoids_basis, perms
 from patlab import (
     BudgetExceededError,
@@ -27,6 +28,9 @@ from patlab import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
+
+# random bases for the kernel oracle checks: 1-3 patterns of length 1-5
+BASES = st.lists(perms(5, min_n=1), min_size=1, max_size=3).map(make_basis)
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862)
 
@@ -152,6 +156,53 @@ class TestParallel:
         par = count_sequence(8, basis, parallel=True)
         assert par.counts == seq.counts
 
+    def test_pool_failure_falls_back_to_sequential(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise OSError("process creation refused")
+
+        ctx = enumeration.multiprocessing.get_context("fork")
+        monkeypatch.setattr(type(ctx), "Pool", no_pool)
+        basis = monotone_basis(3, 2, 2)
+        par = count_sequence(8, basis, parallel=True)
+        err = capsys.readouterr().err
+        assert par.counts == count_sequence(8, basis).counts
+        assert "counted sequentially" in err
+        assert len(err.splitlines()) == 1
+
+
+class TestKernelOracle:
+    """The dead-slot masks and the trees they prune, on random bases."""
+
+    @settings(max_examples=50)
+    @given(BASES)
+    def test_masks_are_exactly_the_dead_slots(self, basis):
+        def check(p, mask):
+            if mask is None:  # length max_n: never expanded, so no mask
+                return
+            live = {s for s in range(len(p) + 1) if not mask >> s & 1}
+            want = {
+                s
+                for s in range(len(p) + 1)
+                if avoids_basis(p[:s] + (len(p) + 1,) + p[s:], basis)
+            }
+            assert live == want, (p, basis.patterns)
+
+        # masks exist for every node of length <= 6
+        enumeration._walk(basis, 7, enumeration._NodeBudget(10**6), check)
+
+    @settings(max_examples=50)
+    @given(BASES)
+    def test_levels_match_brute_force(self, basis):
+        levels = levels_avoiders(basis, 6)
+        for n in range(7):
+            assert levels[n] == brute_force_avoiders(n, basis), (basis.patterns, n)
+
+    @settings(max_examples=6)
+    @given(BASES)
+    def test_parallel_matches_sequential(self, basis):
+        seq = count_sequence(8, basis)
+        assert count_sequence(8, basis, parallel=True).counts == seq.counts
+
 
 class TestBudgetsAndCaps:
     def test_node_budget_enforced(self):
@@ -162,6 +213,22 @@ class TestBudgetsAndCaps:
         # the split prefix fits in 2000 nodes, the worker phase does not
         with pytest.raises(BudgetExceededError):
             count_sequence(9, basis_of(["4321"]), node_budget=2000, parallel=True)
+
+    @pytest.mark.parametrize("run", [
+        lambda b: count_sequence(0, b, node_budget=0),
+        lambda b: count_sequence(9, b, node_budget=0, parallel=True),
+        lambda b: enumerate_avoiders(0, b, node_budget=0),
+        lambda b: levels_avoiders(b, 3, node_budget=0),
+        lambda b: walk_avoiders(b, 3, lambda p: None, node_budget=0),
+    ], ids=["count", "count-parallel", "enumerate", "levels", "walk"])
+    def test_zero_budget_fails_at_the_root(self, run):
+        with pytest.raises(BudgetExceededError):
+            run(basis_of(["123"]))
+
+    def test_budget_counts_the_root(self):
+        assert count_sequence(0, basis_of(["123"]), node_budget=1).values() == (1,)
+        with pytest.raises(BudgetExceededError):
+            count_sequence(1, basis_of(["123"]), node_budget=1)
 
     def test_brute_force_cap(self):
         with pytest.raises(UsageError):

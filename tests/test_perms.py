@@ -54,6 +54,8 @@ class TestParseFormat:
             check_perm((1, 1, 2))
         with pytest.raises(UsageError):
             check_perm((0, 1))
+        with pytest.raises(UsageError):
+            check_perm([True])  # bool is an int subclass, but not a value
 
 
 class TestContains:
