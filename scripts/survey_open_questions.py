@@ -21,18 +21,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from patlab import (
-    AlmostDistantPattern,
-    count_sequence,
-    expand_almost_distant,
-    monotone_basis,
-    survey_almost_distant,
-)
+from patlab import count_sequence, expand_distant, monotone_basis, survey_almost_distant
 
 
 def conjecture_1432(max_n: int) -> None:
     print(f"EXPERIMENT 1: (1432, box=3, removed=4) versus M(4,t,t), n <= {max_n}")
-    variant = expand_almost_distant(AlmostDistantPattern((1, 4, 3, 2), 3, 4))
+    variant = expand_distant((1, 4, 3, 2), 3, removed=4)
     left = count_sequence(max_n, variant).values()
     right = count_sequence(max_n, monotone_basis(4, 1, 1)).values()
     print(f"  variant : {left}")

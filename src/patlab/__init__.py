@@ -9,17 +9,14 @@ of H, and verifies equivalences and count sandwiches by exhaustive
 computation.
 """
 
+# Re-exported: the names the tests, scripts and README use, plus every error
+# class. Result records and constants are imported from their modules.
 from .enumeration import (
-    BRUTE_FORCE_CAP,
-    DEFAULT_NODE_BUDGET,
-    CountSequence,
     avoids_basis,
     brute_force_avoiders,
     brute_force_counts,
     count_sequence,
-    enumerate_avoiders,
     levels_avoiders,
-    walk_avoiders,
 )
 from .errors import (
     BudgetExceededError,
@@ -32,9 +29,6 @@ from .errors import (
     VerificationFailure,
 )
 from .maps import (
-    MapResult,
-    RoleSets,
-    apply_named_map,
     invert_F,
     map_F,
     map_G,
@@ -44,47 +38,27 @@ from .maps import (
     role_sets,
 )
 from .patterns import (
-    AlmostDistantPattern,
-    DistantPattern,
-    MonotoneSpec,
-    PatternBasis,
     basis_reverse_complement,
     basis_union,
-    check_minimal,
     distant_monotone_basis,
-    expand_almost_distant,
     expand_distant,
-    insert_value,
     make_basis,
     monotone_basis,
-    monotone_class,
-    monotone_distant,
     parse_class_expression,
 )
 from .perms import (
-    Perm,
-    RankCapabilityTable,
     avoids,
-    can_act_as_rank,
     check_perm,
     contains,
-    deletions,
     direct_sum,
     format_perm,
     identity,
     lis_tables,
     parse_perm,
     pattern_of,
-    rank_capability,
     reverse_complement,
 )
 from .verification import (
-    BasisResult,
-    CertifyReport,
-    GrowthDiagnostics,
-    SandwichReport,
-    SurveyReport,
-    WilfReport,
     certify_map,
     construct_S_explicit,
     discover_basis,

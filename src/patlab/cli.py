@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .enumeration import DEFAULT_NODE_BUDGET, count_sequence
 from .errors import ClassExpressionError, PatlabError, UsageError
 from .maps import apply_named_map
-from .patterns import parse_class_expression
+from .patterns import MACRO_RE, parse_class_expression
 from .perms import format_perm, parse_perm
 from .verification import (
     certify_map,
@@ -35,8 +34,6 @@ EXIT_EXPERIMENT = 3
 
 HARD_MAX_N = 12
 
-_DISTANT_MACRO_RE = re.compile(r"^\s*D\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,22 +43,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats=("csv", "json", "table")) -> None:
+    # each command takes --budget / --no-parallel only if it reads the value
+    def common(
+        p: argparse.ArgumentParser,
+        formats=("csv", "json", "table"),
+        budget: bool = True,
+        parallel: bool = False,
+    ) -> None:
         p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--out", default=None, help="write the report to this file")
-        p.add_argument("--budget", type=int, default=None, help="node budget override")
-        p.add_argument("--no-parallel", action="store_true", help="force sequential traversal")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="node budget override")
+        if parallel:
+            p.add_argument("--no-parallel", action="store_true", help="force sequential traversal")
 
     p = sub.add_parser("count", help="count Av_n for a class expression")
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, parallel=True)
 
     p = sub.add_parser("verify-wilf", help="compare two avoidance count sequences exactly")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, parallel=True)
 
     p = sub.add_parser("map", help="apply F, Finv, G, Ginv, or H to one permutation")
     p.add_argument("--map", dest="map_name", required=True, choices=["F", "Finv", "G", "Ginv", "H"])
@@ -69,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--perm", required=True)
-    common(p, formats=("json", "table"))
+    common(p, formats=("json", "table"), budget=False)
 
     p = sub.add_parser("certify", help="certify a map over fully enumerated classes")
     p.add_argument("--map", dest="map_name", required=True, choices=["F", "G", "H"])
@@ -94,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="finite-n growth diagnostics for a class")
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, parallel=True)
 
     p = sub.add_parser("survey", help="group all almost-distant variants of a pattern (experiment)")
     p.add_argument("--perm", required=True, help="the underlying classical pattern")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, parallel=True)
 
     return parser
 
@@ -143,17 +148,13 @@ def _table(rows: list[list], header: list[str]) -> str:
     return "\n".join([fmt(header)] + [fmt(r) for r in cells]) + "\n"
 
 
-def _counts_csv(pairs) -> str:
-    return "n,count\n" + "".join(f"{n},{c}\n" for n, c in pairs)
-
-
 def cmd_count(args) -> tuple[int, str]:
     basis = parse_class_expression(args.klass)
     seq = count_sequence(
         _check_n(args.n), basis, parallel=not args.no_parallel, node_budget=_budget(args)
     )
     if args.format == "csv":
-        return EXIT_OK, _counts_csv(seq.counts)
+        return EXIT_OK, seq.csv()
     if args.format == "json":
         return EXIT_OK, _dump_json(
             {
@@ -255,9 +256,10 @@ def cmd_sandwich(args) -> tuple[int, str]:
 def cmd_growth(args) -> tuple[int, str]:
     basis = parse_class_expression(args.klass)
     bounds = None
-    m = _DISTANT_MACRO_RE.match(args.klass)
-    if m:
-        bounds = distant_growth_bounds(int(m.group(1)))
+    # reference bounds only when the whole expression is one D(k,j) macro
+    m = MACRO_RE.match(args.klass)
+    if m and m.group(1) == "D":
+        bounds = distant_growth_bounds(int(m.group(2)))
     diag = growth_diagnostics(
         basis,
         _check_n(args.n),
@@ -268,7 +270,7 @@ def cmd_growth(args) -> tuple[int, str]:
     if args.format == "json":
         return EXIT_OK, _dump_json(diag.as_json_dict())
     if args.format == "csv":
-        return EXIT_OK, _counts_csv(diag.counts.counts)
+        return EXIT_OK, diag.counts.csv()
     roots = dict(diag.roots)
     ratios = dict(diag.ratios)
     rows = []

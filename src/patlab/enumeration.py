@@ -19,11 +19,11 @@ search per basis pattern with that entry pinned, and the last level is
 counted from its parents' masks without building a permutation. The
 brute-force filter is the oracle this answers to.
 
-Counting mode never materializes permutations. Enumeration mode either
-streams nodes to a callback (sequential) or returns sets. The traversal may
-fan out subtrees to forked workers for counting; workers share nothing but a
-monotone node-budget counter, and per-depth counts are summed, so parallel
-and sequential runs agree exactly.
+Counting mode never materializes permutations; ``levels_avoiders`` returns
+the avoiders of every length as sets. The traversal may fan out subtrees to
+forked workers for counting; workers share nothing but a monotone
+node-budget counter, and per-depth counts are summed, so parallel and
+sequential runs agree exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BudgetExceededError, UsageError
 from .patterns import PatternBasis
@@ -43,9 +42,7 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "CountSequence",
     "avoids_basis",
-    "enumerate_avoiders",
     "levels_avoiders",
-    "walk_avoiders",
     "count_sequence",
     "brute_force_avoiders",
     "brute_force_counts",
@@ -75,9 +72,6 @@ class CountSequence:
 
     def values(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.counts)
-
-    def max_n(self) -> int:
-        return self.counts[-1][0] if self.counts else -1
 
     def csv(self) -> str:
         lines = ["n,count"]
@@ -305,35 +299,6 @@ def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:
     if max_n:
         _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, emit)
     return counts
-
-
-def walk_avoiders(
-    basis: PatternBasis,
-    max_n: int,
-    visit: Callable[[Perm], None],
-    *,
-    node_budget: int | None = None,
-) -> None:
-    """Stream every avoider of length <= max_n to ``visit`` (sequential)."""
-    if max_n < 0:
-        raise UsageError(f"max_n must be >= 0, got {max_n}")
-    _walk(basis, max_n, _NodeBudget(_limit(node_budget)), lambda p, _mask: visit(p))
-
-
-def enumerate_avoiders(
-    n: int, basis: PatternBasis, *, node_budget: int | None = None
-) -> set[Perm]:
-    """Exactly the length-n permutations avoiding the basis."""
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    out: set[Perm] = set()
-
-    def visit(p: Perm, _mask) -> None:
-        if len(p) == n:
-            out.add(p)
-
-    _walk(basis, n, _NodeBudget(_limit(node_budget)), visit)
-    return out
 
 
 def levels_avoiders(

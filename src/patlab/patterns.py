@@ -26,31 +26,18 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ClassExpressionError, UsageError
-from .perms import (
-    Perm,
-    check_perm,
-    contains,
-    format_perm,
-    identity,
-    reverse_complement,
-)
+from .perms import Perm, check_perm, format_perm, identity, reverse_complement
 
 __all__ = [
-    "DistantPattern",
-    "AlmostDistantPattern",
-    "MonotoneSpec",
+    "MACRO_RE",
     "PatternBasis",
     "make_basis",
     "insert_value",
     "expand_distant",
-    "expand_almost_distant",
-    "monotone_class",
-    "monotone_distant",
     "monotone_basis",
     "distant_monotone_basis",
     "basis_reverse_complement",
     "basis_union",
-    "check_minimal",
     "parse_class_expression",
 ]
 
@@ -66,72 +53,6 @@ def insert_value(q: Perm, pos0: int, v: int) -> Perm:
     return shifted[:pos0] + (v,) + shifted[pos0:]
 
 
-@dataclass(frozen=True)
-class DistantPattern:
-    """A classical pattern with one gap token before its box_pos-th letter.
-
-    ``box_pos`` ranges over 1..k+1; k+1 puts the gap after the last letter.
-    """
-
-    underlying: Perm
-    box_pos: int
-
-    def __post_init__(self):
-        check_perm(self.underlying)
-        k = len(self.underlying)
-        if k < 1:
-            raise UsageError("distant pattern needs a nonempty underlying pattern")
-        if not 1 <= self.box_pos <= k + 1:
-            raise UsageError(f"box position must be in 1..{k + 1}, got {self.box_pos}")
-
-    def text(self) -> str:
-        return _pattern_text(self.underlying, self.box_pos, None)
-
-
-@dataclass(frozen=True)
-class AlmostDistantPattern:
-    """A distant pattern minus the expansion member whose inserted entry at
-    the gap position has value ``removed``."""
-
-    underlying: Perm
-    box_pos: int
-    removed: int
-
-    def __post_init__(self):
-        check_perm(self.underlying)
-        k = len(self.underlying)
-        if k < 1:
-            raise UsageError("almost-distant pattern needs a nonempty underlying pattern")
-        if not 1 <= self.box_pos <= k + 1:
-            raise UsageError(f"box position must be in 1..{k + 1}, got {self.box_pos}")
-        if not 1 <= self.removed <= k + 1:
-            raise UsageError(f"removed value must be in 1..{k + 1}, got {self.removed}")
-
-    def text(self) -> str:
-        return _pattern_text(self.underlying, self.box_pos, self.removed)
-
-
-@dataclass(frozen=True)
-class MonotoneSpec:
-    """The class written M(k,j,i): underlying 12...k, gap before letter j,
-    insertion value i dropped."""
-
-    k: int
-    j: int
-    i: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise UsageError(f"k must be >= 1, got {self.k}")
-        if not 1 <= self.j <= self.k + 1:
-            raise UsageError(f"j must be in 1..{self.k + 1}, got {self.j}")
-        if not 1 <= self.i <= self.k + 1:
-            raise UsageError(f"i must be in 1..{self.k + 1}, got {self.i}")
-
-    def label(self) -> str:
-        return f"M({self.k},{self.j},{self.i})"
-
-
 @dataclass(frozen=True, eq=False)
 class PatternBasis:
     """A finite, duplicate-free set of classical patterns defining Av_n(Q).
@@ -143,7 +64,6 @@ class PatternBasis:
 
     patterns: tuple[Perm, ...]
     label: str = ""
-    minimal: bool = False
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.patterns)
@@ -169,65 +89,64 @@ class PatternBasis:
     def as_set(self) -> frozenset[Perm]:
         return frozenset(self.patterns)
 
-    def relabel(self, label: str) -> "PatternBasis":
-        return PatternBasis(self.patterns, label, self.minimal)
 
-    def min_pattern_length(self) -> int | None:
-        return len(self.patterns[0]) if self.patterns else None
-
-
-def make_basis(patterns: Iterable[Perm], label: str = "", minimal: bool = False) -> PatternBasis:
+def make_basis(patterns: Iterable[Perm], label: str = "") -> PatternBasis:
     cleaned = sorted({check_perm(q) for q in patterns}, key=lambda q: (len(q), q))
-    return PatternBasis(tuple(cleaned), label, minimal)
+    return PatternBasis(tuple(cleaned), label)
 
 
-def expand_distant(d: DistantPattern) -> PatternBasis:
-    """The k+1 classical patterns of length k+1 equivalent to ``d``.
+def expand_distant(
+    underlying: Perm, box_pos: int, removed: int | None = None, label: str | None = None
+) -> PatternBasis:
+    """The classical basis of a distant pattern: ``underlying`` (length k)
+    with a gap token before its ``box_pos``-th letter, box_pos in 1..k+1
+    (k+1 puts the gap after the last letter).
 
-    The v-th pattern inserts value v at the gap position; deleting that entry
-    recovers the underlying pattern.
+    The v-th of the k+1 patterns inserts value v at the gap position;
+    deleting that entry recovers the underlying pattern. With ``removed``,
+    the pattern with that value at the gap is dropped, which leaves the k
+    patterns of the almost-distant pattern. ``label`` defaults to the
+    pattern's text form ("12#34", "12[3]34").
 
-    >>> sorted(expand_distant(DistantPattern((1, 2, 3), 3)).patterns)
+    >>> sorted(expand_distant((1, 2, 3), 3).patterns)
     [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (2, 3, 1, 4)]
+    >>> expand_distant((1, 2, 3), 3, removed=2).label
+    '12[2]3'
     """
-    k = len(d.underlying)
-    pos0 = d.box_pos - 1
-    return make_basis(
-        (insert_value(d.underlying, pos0, v) for v in range(1, k + 2)),
-        label=d.text(),
-    )
-
-
-def expand_almost_distant(a: AlmostDistantPattern) -> PatternBasis:
-    """Expansion of the distant pattern minus the member with ``removed`` at
-    the gap position; always exactly k patterns."""
-    k = len(a.underlying)
-    pos0 = a.box_pos - 1
-    return make_basis(
-        (insert_value(a.underlying, pos0, v) for v in range(1, k + 2) if v != a.removed),
-        label=a.text(),
-    )
-
-
-def monotone_class(spec: MonotoneSpec) -> AlmostDistantPattern:
-    return AlmostDistantPattern(identity(spec.k), spec.j, spec.i)
-
-
-def monotone_distant(k: int, j: int) -> DistantPattern:
+    q = check_perm(underlying)
+    k = len(q)
     if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    return DistantPattern(identity(k), j)
+        raise UsageError("distant pattern needs a nonempty underlying pattern")
+    if not 1 <= box_pos <= k + 1:
+        raise UsageError(f"box position must be in 1..{k + 1}, got {box_pos}")
+    if removed is not None and not 1 <= removed <= k + 1:
+        raise UsageError(f"removed value must be in 1..{k + 1}, got {removed}")
+    if label is None:
+        parts = [str(v) for v in q]
+        parts.insert(box_pos - 1, "#" if removed is None else f"[{removed}]")
+        label = ("" if k <= 9 else " ").join(parts)
+    return make_basis(
+        (insert_value(q, box_pos - 1, v) for v in range(1, k + 2) if v != removed), label
+    )
 
 
 def monotone_basis(k: int, j: int, i: int) -> PatternBasis:
-    """The expanded basis of M(k,j,i), labeled canonically."""
-    spec = MonotoneSpec(k, j, i)
-    return expand_almost_distant(monotone_class(spec)).relabel(spec.label())
+    """The expanded basis of M(k,j,i): underlying 12...k, gap before letter
+    j, insertion value i dropped; labeled canonically."""
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    if not 1 <= j <= k + 1:
+        raise UsageError(f"j must be in 1..{k + 1}, got {j}")
+    if not 1 <= i <= k + 1:
+        raise UsageError(f"i must be in 1..{k + 1}, got {i}")
+    return expand_distant(identity(k), j, i, label=f"M({k},{j},{i})")
 
 
 def distant_monotone_basis(k: int, j: int) -> PatternBasis:
     """The expanded basis of D(k,j), labeled canonically."""
-    return expand_distant(monotone_distant(k, j)).relabel(f"D({k},{j})")
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    return expand_distant(identity(k), j, label=f"D({k},{j})")
 
 
 def basis_reverse_complement(b: PatternBasis) -> PatternBasis:
@@ -235,7 +154,6 @@ def basis_reverse_complement(b: PatternBasis) -> PatternBasis:
     return make_basis(
         (reverse_complement(q) for q in b.patterns),
         label=f"rc({b.label})" if b.label else "",
-        minimal=b.minimal,
     )
 
 
@@ -246,28 +164,12 @@ def basis_union(bases: Iterable[PatternBasis], label: str = "") -> PatternBasis:
     return make_basis(merged, label=label)
 
 
-def check_minimal(b: PatternBasis) -> bool:
-    """No member contains another member as a strict sub-pattern."""
-    for small in b.patterns:
-        for big in b.patterns:
-            if len(small) < len(big) and contains(big, small):
-                return False
-    return True
-
-
-def _pattern_text(underlying: Perm, box_pos: int, removed: int | None) -> str:
-    token = "#" if removed is None else f"[{removed}]"
-    parts = [str(v) for v in underlying]
-    parts.insert(box_pos - 1, token)
-    sep = "" if max(underlying) <= 9 else " "
-    return sep.join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Class-expression parsing
 
 
-_MACRO_RE = re.compile(r"^\s*([MD])\s*\(\s*(\d+)\s*,\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
+# One M(...) or D(...) macro spanning the whole text; group 1 is the name.
+MACRO_RE = re.compile(r"^\s*([MD])\s*\(\s*(\d+)\s*,\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
 
 
 def parse_class_expression(text: str) -> PatternBasis:
@@ -288,7 +190,7 @@ def parse_class_expression(text: str) -> PatternBasis:
 
 
 def _parse_part(raw: str, full: str, offset: int) -> PatternBasis:
-    m = _MACRO_RE.match(raw)
+    m = MACRO_RE.match(raw)
     if m:
         return _parse_macro(m, full, offset + m.start(1))
     lead = offset + (len(raw) - len(raw.lstrip()))
@@ -314,14 +216,12 @@ def _parse_part(raw: str, full: str, offset: int) -> PatternBasis:
     if not underlying:
         raise ClassExpressionError("gap token needs surrounding pattern letters", full, pos)
     if kind == "box":
-        return expand_distant(DistantPattern(underlying, box_pos)).relabel(raw.strip())
+        return expand_distant(underlying, box_pos, label=raw.strip())
     if not 1 <= value <= k + 1:
         raise ClassExpressionError(
             f"bracket value must be in 1..{k + 1}, got {value}", full, pos
         )
-    return expand_almost_distant(AlmostDistantPattern(underlying, box_pos, value)).relabel(
-        raw.strip()
-    )
+    return expand_distant(underlying, box_pos, value, label=raw.strip())
 
 
 def _parse_macro(m: re.Match, full: str, pos: int) -> PatternBasis:

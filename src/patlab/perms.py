@@ -9,7 +9,6 @@ on them) speak 1-based values and positions, matching one-line notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -30,9 +29,6 @@ __all__ = [
     "reverse_complement",
     "direct_sum",
     "lis_tables",
-    "RankCapabilityTable",
-    "rank_capability",
-    "can_act_as_rank",
 ]
 
 
@@ -207,39 +203,3 @@ def lis_tables(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 best = down[s]
         down[t] = best + 1
     return tuple(up), tuple(down)
-
-
-@dataclass(frozen=True)
-class RankCapabilityTable:
-    """Which indices can serve as the r-th entry of an occurrence of 12...k.
-
-    An index can act as rank ``r`` exactly when an increasing run of length
-    ``r`` ends there and one of length ``k - r + 1`` starts there.
-    """
-
-    perm: Perm
-    k: int
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-
-    def can_act(self, pos: int, rank: int) -> bool:
-        if not 1 <= rank <= self.k:
-            raise UsageError(f"rank must be in 1..{self.k}, got {rank}")
-        return self.up[pos] >= rank and self.down[pos] >= self.k - rank + 1
-
-    def capable_positions(self, rank: int) -> tuple[int, ...]:
-        return tuple(t for t in range(len(self.perm)) if self.can_act(t, rank))
-
-    def capable_values(self, rank: int) -> tuple[int, ...]:
-        return tuple(sorted(self.perm[t] for t in self.capable_positions(rank)))
-
-
-def rank_capability(p: Perm, k: int) -> RankCapabilityTable:
-    if k < 1:
-        raise UsageError(f"pattern length k must be >= 1, got {k}")
-    up, down = lis_tables(p)
-    return RankCapabilityTable(perm=p, k=k, up=up, down=down)
-
-
-def can_act_as_rank(p: Perm, pos: int, rank: int, k: int) -> bool:
-    return rank_capability(p, k).can_act(pos, rank)

@@ -15,19 +15,14 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations as iter_perms
 
-from .enumeration import (
-    CountSequence,
-    avoids_basis,
-    count_sequence,
-    enumerate_avoiders,
-    levels_avoiders,
-)
+from .enumeration import CountSequence, avoids_basis, count_sequence, levels_avoiders
 from .errors import UsageError, VerificationFailure
 from .maps import invert_F, map_F, map_G, map_H
 from .patterns import (
     PatternBasis,
     basis_union,
     distant_monotone_basis,
+    expand_distant,
     make_basis,
     monotone_basis,
 )
@@ -350,7 +345,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
                 continue
             if all(d in image[n - 1] for d in deletions(q)):
                 minimal.append(q)
-    discovered = make_basis(minimal, label=f"discovered(k={k},j={j},len<={max_len})", minimal=True)
+    discovered = make_basis(minimal, label=f"discovered(k={k},j={j},len<={max_len})")
     predicted = None
     matches = None
     if j in (2, 3, 4) and (k >= 3 or j != 4):
@@ -555,15 +550,13 @@ def survey_almost_distant(
 ) -> SurveyReport:
     """Count Av_n for every (box position, removed value) variant of
     ``q_prime`` and group variants with identical sequences."""
-    from .patterns import AlmostDistantPattern, expand_almost_distant
-
     k = len(q_prime)
     if k < 1:
         raise UsageError("survey needs a nonempty underlying pattern")
     by_counts: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for j in range(1, k + 2):
         for i in range(1, k + 2):
-            basis = expand_almost_distant(AlmostDistantPattern(q_prime, j, i))
+            basis = expand_distant(q_prime, j, i)
             seq = count_sequence(max_n, basis, parallel=parallel, node_budget=node_budget)
             by_counts.setdefault(seq.values(), []).append((j, i))
     groups = sorted(

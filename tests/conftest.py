@@ -13,7 +13,7 @@ from itertools import combinations
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from patlab import count_sequence, levels_avoiders, monotone_basis
+from patlab import count_sequence, levels_avoiders, lis_tables, monotone_basis
 
 settings.register_profile(
     "patlab",
@@ -76,6 +76,14 @@ def oracle_rank_marks(p, k):
 
     extend([])
     return marks
+
+
+def capable_values(p, k, r):
+    """Sorted values of ``p`` that can act as rank r of an occurrence of
+    12...k, read off ``lis_tables`` (checked against ``oracle_rank_marks``
+    in test_perms and criterion 11c)."""
+    up, down = lis_tables(p)
+    return tuple(sorted(v for v, u, d in zip(p, up, down) if u >= r and d >= k - r + 1))
 
 
 # -- cached enumerations of the monotone classes -----------------------------

@@ -13,7 +13,7 @@ import math
 from contextlib import contextmanager
 from itertools import permutations
 
-from conftest import monotone_counts, monotone_members, oracle_rank_marks
+from conftest import capable_values, monotone_counts, monotone_members, oracle_rank_marks
 from patlab import (
     avoids_basis,
     basis_reverse_complement,
@@ -23,6 +23,7 @@ from patlab import (
     construct_S_explicit,
     discover_basis,
     invert_F,
+    lis_tables,
     make_basis,
     map_F,
     map_G,
@@ -30,7 +31,6 @@ from patlab import (
     monotone_basis,
     naive_reverse_H,
     parse_perm,
-    rank_capability,
     reverse_complement,
     sandwich_check,
     verify_wilf,
@@ -98,8 +98,7 @@ def test_c03_map_F_certification():
                         images.add(w)
                         # the moving set is exactly preserved by the map
                         assert (
-                            rank_capability(w, k).capable_values(i + 1)
-                            == res.roles.b_values()
+                            capable_values(w, k, i + 1) == res.roles.b_values()
                         ), (k, i, p, w)
                         # landing entries never sit left of their movers
                         assert all(
@@ -232,11 +231,11 @@ def test_c11c_rank_table_matches_occurrence_search():
     with criterion(11, "(c) rank-capability table equals occurrence search, |p|<=8, k<=5"):
         for p in all_perms_upto(8):
             n = len(p)
+            up, down = lis_tables(p)
             for k in range(1, 6):
-                table = rank_capability(p, k)
                 marks = oracle_rank_marks(p, k)
                 for t in range(n):
-                    up_t, down_t = table.up[t], table.down[t]
+                    up_t, down_t = up[t], down[t]
                     for r in range(1, k + 1):
                         predicted = up_t >= r and down_t >= k - r + 1
                         assert predicted == ((t, r) in marks), (p, k, t, r)

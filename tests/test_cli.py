@@ -190,6 +190,17 @@ class TestGrowth:
         assert doc["reference_bounds"] == [9.0, 10.0]
         assert doc["note"] == "finite-n diagnostics"
 
+    @pytest.mark.parametrize("expr,bounds", [
+        (" D( 4 , 2 ) ", [9.0, 10.0]),
+        ("D(4,2);123456", None),
+        ("12#34", None),
+        ("M(4,2,2)", None),
+    ])
+    def test_reference_bounds_only_for_a_lone_distant_macro(self, capsys, expr, bounds):
+        code, out, _ = run(capsys, "growth", "--class", expr, "--n", "5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reference_bounds"] == bounds
+
     def test_table_labels_diagnostics(self, capsys):
         code, out, _ = run(capsys, "growth", "--class", "123", "--n", "5")
         assert code == 0
@@ -257,4 +268,15 @@ class TestUsageErrors:
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--map", "F", "--k", "3", "--i", "0", "--n", "4", "--no-parallel"],
+        ["basis", "--k", "3", "--j", "3", "--n", "4", "--no-parallel"],
+        ["sandwich", "--k", "3", "--j", "2", "--n", "4", "--no-parallel"],
+        ["map", "--map", "F", "--k", "3", "--i", "0", "--perm", "123", "--budget", "5"],
+    ], ids=["certify-no-parallel", "basis-no-parallel", "sandwich-no-parallel", "map-budget"])
+    def test_flag_the_command_ignores_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2

@@ -18,13 +18,11 @@ from patlab import (
     brute_force_counts,
     count_sequence,
     distant_monotone_basis,
-    enumerate_avoiders,
     levels_avoiders,
     make_basis,
     monotone_basis,
     parse_class_expression,
     parse_perm,
-    walk_avoiders,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
@@ -109,7 +107,7 @@ class TestEngineEquivalence:
 
     def test_enumerate_single_level(self):
         basis = monotone_basis(3, 2, 2)
-        assert enumerate_avoiders(5, basis) == brute_force_avoiders(5, basis)
+        assert levels_avoiders(basis, 5)[5] == brute_force_avoiders(5, basis)
 
 
 class TestCountSequence:
@@ -137,7 +135,7 @@ class TestCountSequence:
 
     def test_golden_members(self):
         rows = (GOLDEN / "M(3,2,2).n5.members.txt").read_text().split()
-        got = enumerate_avoiders(5, monotone_basis(3, 2, 2))
+        got = levels_avoiders(monotone_basis(3, 2, 2), 5)[5]
         assert {parse_perm(r) for r in rows} == got
 
     def test_csv_shape(self):
@@ -217,10 +215,9 @@ class TestBudgetsAndCaps:
     @pytest.mark.parametrize("run", [
         lambda b: count_sequence(0, b, node_budget=0),
         lambda b: count_sequence(9, b, node_budget=0, parallel=True),
-        lambda b: enumerate_avoiders(0, b, node_budget=0),
+        lambda b: levels_avoiders(b, 0, node_budget=0),
         lambda b: levels_avoiders(b, 3, node_budget=0),
-        lambda b: walk_avoiders(b, 3, lambda p: None, node_budget=0),
-    ], ids=["count", "count-parallel", "enumerate", "levels", "walk"])
+    ], ids=["count", "count-parallel", "enumerate", "levels"])
     def test_zero_budget_fails_at_the_root(self, run):
         with pytest.raises(BudgetExceededError):
             run(basis_of(["123"]))
@@ -236,22 +233,11 @@ class TestBudgetsAndCaps:
 
     def test_negative_n_rejected(self):
         with pytest.raises(UsageError):
-            enumerate_avoiders(-1, basis_of(["123"]))
+            levels_avoiders(basis_of(["123"]), -1)
 
 
 class TestWalk:
-    def test_streams_every_avoider_once(self):
-        basis = basis_of(["132", "213"])
-        seen = []
-        walk_avoiders(basis, 5, seen.append)
-        assert len(seen) == len(set(seen))
-        by_len = {}
-        for p in seen:
-            by_len.setdefault(len(p), set()).add(p)
-        for n in range(6):
-            assert by_len.get(n, set()) == brute_force_avoiders(n, basis)
-
     def test_zero_length(self):
         basis = basis_of(["12"])
-        assert enumerate_avoiders(0, basis) == {()}
+        assert levels_avoiders(basis, 0)[0] == {()}
         assert brute_force_avoiders(0, basis) == {()}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import monotone_counts, monotone_members, perms
+from conftest import capable_values, monotone_counts, monotone_members, perms
 from patlab import (
     DomainError,
     UsageError,
@@ -19,7 +19,6 @@ from patlab import (
     monotone_basis,
     naive_reverse_H,
     parse_perm,
-    rank_capability,
     reverse_complement,
     role_sets,
 )
@@ -105,9 +104,9 @@ class TestMapF:
         members = monotone_members(k, i + 1, i + 1, 6)
         for n in range(7):
             for p in sorted(members[n]):
-                before = rank_capability(p, k).capable_values(i + 1)
+                before = capable_values(p, k, i + 1)
                 w = map_F(p, k, i, validate=False).output
-                after = rank_capability(w, k).capable_values(i + 1)
+                after = capable_values(w, k, i + 1)
                 assert before == after, (p, w)
 
     def test_non_movers_keep_relative_order(self):

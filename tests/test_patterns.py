@@ -8,23 +8,16 @@ import hypothesis.strategies as st
 
 from conftest import perms
 from patlab import (
-    AlmostDistantPattern,
     ClassExpressionError,
-    DistantPattern,
-    MonotoneSpec,
     UsageError,
     basis_reverse_complement,
-    check_minimal,
     contains,
     distant_monotone_basis,
-    expand_almost_distant,
     expand_distant,
     make_basis,
     monotone_basis,
-    monotone_class,
     parse_class_expression,
     pattern_of,
-    reverse_complement,
 )
 
 
@@ -34,7 +27,7 @@ def as_strs(basis):
 
 class TestExpandDistant:
     def test_gap_in_monotone(self):
-        assert as_strs(expand_distant(DistantPattern((1, 2, 3), 3))) == {
+        assert as_strs(expand_distant((1, 2, 3), 3)) == {
             "2314",
             "1324",
             "1234",
@@ -42,31 +35,46 @@ class TestExpandDistant:
         }
 
     def test_short_gap(self):
-        assert as_strs(expand_distant(DistantPattern((1, 2), 2))) == {"213", "123", "132"}
+        assert as_strs(expand_distant((1, 2), 2)) == {"213", "123", "132"}
 
     @given(perms(5, min_n=1), st.integers(1, 6))
     def test_always_k_plus_one_distinct(self, q, j):
         if j > len(q) + 1:
             j = len(q) + 1
-        basis = expand_distant(DistantPattern(q, j))
+        basis = expand_distant(q, j)
         assert len(basis) == len(q) + 1
         assert all(len(pat) == len(q) + 1 for pat in basis)
 
     @given(perms(5, min_n=1), st.integers(1, 6))
     def test_deleting_gap_entry_recovers_underlying(self, q, j):
         j = min(j, len(q) + 1)
-        for pat in expand_distant(DistantPattern(q, j)):
+        for pat in expand_distant(q, j):
             reduced = pattern_of(pat[: j - 1] + pat[j:])
             assert reduced == q
 
     def test_box_position_validated(self):
         with pytest.raises(UsageError):
-            DistantPattern((1, 2), 4)
+            expand_distant((1, 2), 4)
+        with pytest.raises(UsageError):
+            expand_distant((1, 2), 0)
+        with pytest.raises(UsageError):
+            expand_distant((1, 2), 2, removed=4)
+        with pytest.raises(UsageError):
+            expand_distant((), 1)
+        with pytest.raises(UsageError):
+            expand_distant((1, 1), 2)
+
+    def test_default_label_is_pattern_text(self):
+        assert expand_distant((1, 2, 3, 4), 3).label == "12#34"
+        assert expand_distant((1, 2, 3, 4), 3, removed=3).label == "12[3]34"
+        assert expand_distant((1, 2), 3).label == "12#"
+        assert expand_distant(tuple(range(1, 11)), 1).label == "# 1 2 3 4 5 6 7 8 9 10"
+        assert expand_distant((1, 2), 1, label="x").label == "x"
 
 
 class TestExpandAlmostDistant:
     def test_drop_one_member(self):
-        assert as_strs(expand_almost_distant(AlmostDistantPattern((1, 2, 3), 3, 2))) == {
+        assert as_strs(expand_distant((1, 2, 3), 3, removed=2)) == {
             "2314",
             "1234",
             "1243",
@@ -79,8 +87,8 @@ class TestExpandAlmostDistant:
     def test_always_one_less(self, q, j, i):
         j = min(j, len(q) + 1)
         i = min(i, len(q) + 1)
-        almost = expand_almost_distant(AlmostDistantPattern(q, j, i))
-        full = expand_distant(DistantPattern(q, j))
+        almost = expand_distant(q, j, i)
+        full = expand_distant(q, j)
         assert len(almost) == len(full) - 1
         assert almost.as_set() < full.as_set()
         # the dropped pattern has the removed value at the gap position
@@ -90,9 +98,9 @@ class TestExpandAlmostDistant:
 
 class TestMonotoneClasses:
     def test_spec_to_pattern(self):
-        a = monotone_class(MonotoneSpec(4, 3, 3))
-        assert a.underlying == (1, 2, 3, 4)
-        assert (a.box_pos, a.removed) == (3, 3)
+        basis = monotone_basis(4, 3, 3)
+        assert basis == expand_distant((1, 2, 3, 4), 3, removed=3)
+        assert basis.label == "M(4,3,3)"
 
     def test_gap_before_first_letter(self):
         assert as_strs(monotone_basis(2, 1, 1)) == {"213", "312"}
@@ -113,7 +121,7 @@ class TestMonotoneClasses:
         with pytest.raises(UsageError):
             monotone_basis(3, 1, 0)
         with pytest.raises(UsageError):
-            MonotoneSpec(0, 1, 1)
+            monotone_basis(0, 1, 1)
 
     def test_distant_macro(self):
         assert as_strs(distant_monotone_basis(3, 2)) == {"2134", "1234", "1324", "1423"}
@@ -132,7 +140,7 @@ class TestBasisReverseComplement:
     def test_involution(self, q, j, i):
         j = min(j, len(q) + 1)
         i = min(i, len(q) + 1)
-        basis = expand_almost_distant(AlmostDistantPattern(q, j, i))
+        basis = expand_distant(q, j, i)
         assert basis_reverse_complement(basis_reverse_complement(basis)) == basis
 
     def test_monotone_fixed_point(self):
@@ -149,12 +157,17 @@ class TestBasisType:
         assert make_basis([(1, 2)], label="a") == make_basis([(1, 2)], label="b")
 
     def test_check_minimal(self):
-        assert check_minimal(monotone_basis(4, 3, 3))
-        assert not check_minimal(make_basis([(1, 2), (1, 2, 3)]))
+        def minimal(b):
+            # no member contains another member as a strict sub-pattern
+            return not any(len(s) < len(g) and contains(g, s) for s in b for g in b)
+
+        assert minimal(monotone_basis(4, 3, 3))
+        assert not minimal(make_basis([(1, 2), (1, 2, 3)]))
 
     def test_min_pattern_length(self):
-        assert make_basis([(1, 2, 3), (2, 1)]).min_pattern_length() == 2
-        assert make_basis([]).min_pattern_length() is None
+        # (length, values) order puts a shortest pattern first
+        assert make_basis([(1, 2, 3), (2, 1)]).patterns[0] == (2, 1)
+        assert make_basis([]).patterns == ()
 
 
 class TestClassExpressionGrammar:
@@ -246,7 +259,7 @@ class TestAgainstDirectSemantics:
     @given(perms(6), perms(3, min_n=1), st.integers(1, 4))
     def test_expansion_matches_gap_semantics(self, p, q, j):
         j = min(j, len(q) + 1)
-        basis = expand_distant(DistantPattern(q, j))
+        basis = expand_distant(q, j)
         expanded = any(contains(p, pat) for pat in basis)
         assert expanded == self.occurs_with_gap(p, q, j)
 
@@ -254,6 +267,6 @@ class TestAgainstDirectSemantics:
         for n in range(6):
             for p in permutations(range(1, n + 1)):
                 for j in (1, 2, 3):
-                    basis = expand_distant(DistantPattern((1, 2), j))
+                    basis = expand_distant((1, 2), j)
                     expanded = any(contains(p, pat) for pat in basis)
                     assert expanded == self.occurs_with_gap(p, (1, 2), j)

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import oracle_contains, oracle_rank_marks, perms
+from conftest import capable_values, oracle_contains, oracle_rank_marks, perms
 from patlab import (
     UsageError,
     avoids,
-    can_act_as_rank,
     check_perm,
     contains,
     direct_sum,
     format_perm,
     identity,
+    lis_tables,
     parse_perm,
     pattern_of,
-    rank_capability,
     reverse_complement,
 )
 
@@ -139,49 +138,38 @@ class TestDirectSum:
 
 
 class TestRankCapability:
+    """An index can act as rank r of an occurrence of 12...k exactly when
+    ``lis_tables`` shows an increasing run of length r ending there and one
+    of length k - r + 1 starting there."""
+
     def test_monotone_case(self):
         n, k = 7, 4
-        table = rank_capability(identity(n), k)
+        up, down = lis_tables(identity(n))
         for r in range(1, k + 1):
             expected = {t for t in range(n) if r - 1 <= t <= n - (k - r) - 1}
-            assert set(table.capable_positions(r)) == expected
+            assert {t for t in range(n) if up[t] >= r and down[t] >= k - r + 1} == expected
 
     def test_reference_values(self):
-        table = rank_capability(P14, 4)
-        assert table.capable_values(3) == (6, 9, 10, 12)
-        rank2_not3 = tuple(
-            sorted(
-                P14[t]
-                for t in table.capable_positions(2)
-                if not table.can_act(t, 3)
-            )
-        )
-        assert rank2_not3 == (5, 11)
+        assert capable_values(P14, 4, 3) == (6, 9, 10, 12)
+        rank2_not3 = set(capable_values(P14, 4, 2)) - set(capable_values(P14, 4, 3))
+        assert tuple(sorted(rank2_not3)) == (5, 11)
 
     def test_extreme_ranks_reduce_to_run_lengths(self):
         for p in permutations(range(1, 6)):
+            up, down = lis_tables(p)
             for k in range(1, 5):
-                table = rank_capability(p, k)
+                marks = oracle_rank_marks(p, k)
                 for t in range(len(p)):
-                    assert table.can_act(t, 1) == (table.down[t] >= k)
-                    assert table.can_act(t, k) == (table.up[t] >= k)
+                    assert ((t, 1) in marks) == (down[t] >= k)
+                    assert ((t, k) in marks) == (up[t] >= k)
 
     @given(perms(7, min_n=1), st.integers(1, 5))
     def test_matches_occurrence_search(self, p, k):
-        table = rank_capability(p, k)
+        up, down = lis_tables(p)
         marks = oracle_rank_marks(p, k)
         for t in range(len(p)):
             for r in range(1, k + 1):
-                assert table.can_act(t, r) == ((t, r) in marks)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(UsageError):
-            rank_capability((1, 2), 2).can_act(0, 3)
-        with pytest.raises(UsageError):
-            rank_capability((1, 2), 0)
-
-    def test_convenience_wrapper(self):
-        assert can_act_as_rank((1, 2, 3), 1, 2, 3)
+                assert (up[t] >= r and down[t] >= k - r + 1) == ((t, r) in marks)
 
 
 class TestPatternOf:

@@ -1,0 +1,61 @@
+"""Code outside the package that imports patlab: the scripts and the
+benchmark harness. A name they use must not disappear silently; the tracer,
+for one, only prints a note to stderr and records nothing for that layer."""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load(path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _patlab_imports(path: pathlib.Path) -> list[tuple[str, str]]:
+    """Every (module, name) pair of a ``from patlab... import name``."""
+    tree = ast.parse(path.read_text())
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("patlab")
+        for alias in node.names
+    ]
+
+
+def test_tracer_targets_resolve():
+    tracer = _load(PERFBENCH / "tracer.py")
+    for module_name, attr, span in (tracer.ROOT,) + tracer.TARGETS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr, span)
+
+
+@pytest.mark.parametrize("script", ["probe.py", "make_reference.py", "run.py"])
+def test_benchmark_imports_resolve(script):
+    pairs = _patlab_imports(PERFBENCH / script)
+    assert pairs
+    for module_name, name in pairs:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name) or importlib.util.find_spec(f"{module_name}.{name}"), (
+            script, module_name, name,
+        )
+
+
+def test_survey_script_runs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "survey_open_questions.py"), "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "EXPERIMENT 1:" in done.stdout
+    assert "EXPERIMENT 2:" in done.stdout
