@@ -47,7 +47,6 @@ from .patterns import (
     parse_class_expression,
 )
 from .perms import (
-    avoids,
     check_perm,
     contains,
     direct_sum,

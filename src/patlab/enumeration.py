@@ -20,7 +20,9 @@ counted from its parents' masks without building a permutation. The
 brute-force filter is the oracle this answers to.
 
 Counting mode never materializes permutations; ``levels_avoiders`` returns
-the avoiders of every length as sets. The traversal may fan out subtrees to
+the avoiders of every length as sets, and ``avoider_masks`` the masks of
+every avoider below the last length, which answer membership at the last
+length by one bit each. The traversal may fan out subtrees to
 forked workers for counting; workers share nothing but a monotone
 node-budget counter, and per-depth counts are summed, so parallel and
 sequential runs agree exactly.
@@ -43,6 +45,7 @@ __all__ = [
     "CountSequence",
     "avoids_basis",
     "levels_avoiders",
+    "avoider_masks",
     "count_sequence",
     "brute_force_avoiders",
     "brute_force_counts",
@@ -310,6 +313,28 @@ def levels_avoiders(
     out: dict[int, set[Perm]] = {n: set() for n in range(max_n + 1)}
     _walk(basis, max_n, _NodeBudget(_limit(node_budget)), lambda p, _mask: out[len(p)].add(p))
     return out
+
+
+def avoider_masks(
+    basis: PatternBasis, max_n: int, *, node_budget: int | None = None
+) -> dict[Perm, int]:
+    """The dead-slot mask of every avoider shorter than ``max_n``.
+
+    A permutation w of length n in 1..max_n avoids the basis iff w without
+    its maximum is a key and slot ``w.index(n)`` is live in that key's mask,
+    so |Av_n| is the number of live slots over the keys of length n - 1.
+    Length max_n itself is never built."""
+    if max_n < 0:
+        raise UsageError(f"max_n must be >= 0, got {max_n}")
+    masks: dict[Perm, int] = {}
+
+    def record(p: Perm, dead: int) -> bool:
+        masks[p] = dead
+        return len(p) == max_n - 1
+
+    if max_n:
+        _walk(basis, max_n, _NodeBudget(_limit(node_budget)), record)
+    return masks
 
 
 def count_sequence(

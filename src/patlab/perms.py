@@ -25,7 +25,6 @@ __all__ = [
     "pattern_of",
     "deletions",
     "contains",
-    "avoids",
     "reverse_complement",
     "direct_sum",
     "lis_tables",
@@ -93,8 +92,13 @@ def pattern_of(values: Sequence[int]) -> Perm:
 
 
 def deletions(p: Perm) -> set[Perm]:
-    """The set of patterns obtained by deleting one entry of ``p``."""
-    return {pattern_of(p[:t] + p[t + 1 :]) for t in range(len(p))}
+    """The set of patterns obtained by deleting one entry of ``p``: drop a
+    value x and lower every value above it by one, with no sort.
+
+    >>> sorted(deletions((2, 3, 1)))
+    [(1, 2), (2, 1)]
+    """
+    return {tuple([v - (v > x) for v in p if v != x]) for x in p}
 
 
 @lru_cache(maxsize=4096)
@@ -153,10 +157,6 @@ def contains(p: Perm, q: Perm) -> bool:
         return False
 
     return descend(0, 0)
-
-
-def avoids(p: Perm, q: Perm) -> bool:
-    return not contains(p, q)
 
 
 def reverse_complement(p: Perm) -> Perm:

@@ -13,9 +13,14 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import permutations as iter_perms
 
-from .enumeration import CountSequence, avoids_basis, count_sequence, levels_avoiders
+from .enumeration import (
+    CountSequence,
+    avoider_masks,
+    avoids_basis,
+    count_sequence,
+    levels_avoiders,
+)
 from .errors import UsageError, VerificationFailure
 from .maps import invert_F, map_F, map_G, map_H
 from .patterns import (
@@ -130,6 +135,18 @@ class CertifyReport:
         }
 
 
+def _masked_member(w: Perm, masks: dict[Perm, int]) -> bool:
+    """Membership of ``w`` in the class whose ``avoider_masks`` are ``masks``:
+    w without its maximum is a key whose mask has the slot of that maximum
+    live. The empty permutation has no parent and reads False."""
+    n = len(w)
+    if not n:
+        return False
+    s = w.index(n)
+    dead = masks.get(w[:s] + w[s + 1 :])
+    return dead is not None and not dead >> s & 1
+
+
 def certify_map(
     map_name: str,
     k: int,
@@ -141,7 +158,15 @@ def certify_map(
 ) -> CertifyReport:
     """Enumerate the source class for every n <= max_n, push it through the
     map, and check image membership, injectivity, surjectivity
-    (by count), and the roundtrip where an inverse exists."""
+    (by count), and the roundtrip where an inverse exists.
+
+    The target class is walked once, by ``avoider_masks``, up to length
+    max_n - 1 and never at max_n. An image is a member when the dead-slot
+    mask of the image without its maximum has the slot of that maximum
+    live; the target sizes are the live slots summed over those masks. An
+    image the masks reject is confirmed by the pattern search
+    ``avoids_basis`` before it is reported, as is the empty image, which
+    has no parent mask."""
     if map_name == "F":
         if i is None or not 0 <= i <= k - 1:
             raise UsageError(f"map F needs a step index i in 0..{k - 1}")
@@ -171,7 +196,11 @@ def certify_map(
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
 
     src_levels = levels_avoiders(source, max_n, node_budget=node_budget)
-    tgt_counts = count_sequence(max_n, target, node_budget=node_budget)
+    masks = avoider_masks(target, max_n, node_budget=node_budget)
+    tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
+    for p, dead in masks.items():
+        n1 = len(p) + 1
+        tgt_sizes[n1] += (~dead & ((1 << n1) - 1)).bit_count()
     rows: list[dict] = []
     counterexample: dict | None = None
     findings: list[str] = []
@@ -185,7 +214,7 @@ def certify_map(
             res = forward(p)
             w = res.output
             images.append(w)
-            if image_ok and not avoids_basis(w, target):
+            if image_ok and not _masked_member(w, masks) and not avoids_basis(w, target):
                 image_ok = False
                 counterexample = counterexample or {
                     "n": n,
@@ -214,12 +243,12 @@ def certify_map(
         injective = distinct == len(images)
         if not injective and counterexample is None:
             counterexample = {"n": n, "reason": "two inputs share an output"}
-        surjective = distinct == tgt_counts.count(n)
+        surjective = distinct == tgt_sizes[n]
         rows.append(
             {
                 "n": n,
                 "source_size": len(members),
-                "target_size": tgt_counts.count(n),
+                "target_size": tgt_sizes[n],
                 "image_size": distinct,
                 "image_in_target": image_ok,
                 "injective": injective,
@@ -317,8 +346,17 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     closed, and collect its minimal non-members: permutations outside the
     image whose every single-entry deletion lies inside.
 
+    No sweep over all n! permutations: a minimal non-member q of length n
+    has q without its maximum in image[n-1], so the candidates are the n
+    insertions of a new maximum into each member of image[n-1], about
+    |image[n-1]| * n of them. A candidate is closed when its other
+    deletions (drop a value, lower the values above it) lie in image[n-1].
+    A closed non-member is minimal; the image is deletion closed iff its
+    closed members number |image[n]|.
+
     A deletion-closure violation is a hard finding (it would contradict the
-    image being an avoidance class) and raises VerificationFailure.
+    image being an avoidance class) and raises VerificationFailure naming
+    the least violating member and its least deletion outside image[n-1].
     """
     if not 2 <= j <= k:
         raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
@@ -330,21 +368,27 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     minimal: list[Perm] = []
     for n in range(max_len + 1):
         image[n] = frozenset(map_H(p, k, j, validate=False).output for p in src_levels[n])
-        if n > 0:
-            for w in image[n]:
-                for d in deletions(w):
-                    if d not in image[n - 1]:
-                        raise VerificationFailure(
-                            f"image of H (k={k}, j={j}) is not deletion closed at "
-                            f"n={n}: {format_perm(w)} drops to the non-member "
-                            f"{format_perm(d)}",
-                            witness=w,
-                        )
-        for q in iter_perms(range(1, n + 1)):
-            if q in image[n]:
-                continue
-            if all(d in image[n - 1] for d in deletions(q)):
-                minimal.append(q)
+        if not n:
+            continue  # H maps () to itself, so length 0 has no non-member
+        prev = image[n - 1]
+        closed = 0
+        for parent in prev:
+            for s in range(n):
+                q = parent[:s] + (n,) + parent[s:]
+                if all(tuple([v - (v > x) for v in q if v != x]) in prev for x in range(1, n)):
+                    if q in image[n]:
+                        closed += 1
+                    else:
+                        minimal.append(q)
+        if closed != len(image[n]):
+            w = min(w for w in image[n] if not deletions(w) <= prev)
+            d = min(deletions(w) - prev)
+            raise VerificationFailure(
+                f"image of H (k={k}, j={j}) is not deletion closed at "
+                f"n={n}: {format_perm(w)} drops to the non-member "
+                f"{format_perm(d)}",
+                witness=w,
+            )
     discovered = make_basis(minimal, label=f"discovered(k={k},j={j},len<={max_len})")
     predicted = None
     matches = None

@@ -8,12 +8,12 @@ paths they check.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
+from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from patlab import count_sequence, levels_avoiders, lis_tables, monotone_basis
+from patlab import count_sequence, levels_avoiders, lis_tables, map_H, monotone_basis
 
 settings.register_profile(
     "patlab",
@@ -76,6 +76,25 @@ def oracle_rank_marks(p, k):
 
     extend([])
     return marks
+
+
+def oracle_discover_basis(k, j, max_len):
+    """The image of H by length and its minimal non-members, found the slow
+    way: every permutation of each length is tested, and its deletions come
+    from ``oracle_pattern_of``. Returns (minimal non-members, image sizes)."""
+    levels = levels_avoiders(monotone_basis(k, j, j - 1), max_len)
+    image = {}
+    minimal = set()
+    for n in range(max_len + 1):
+        image[n] = {map_H(p, k, j).output for p in levels[n]}
+        for q in permutations(range(1, n + 1)):
+            drops = {oracle_pattern_of(q[:t] + q[t + 1 :]) for t in range(n)}
+            inside = not n or drops <= image[n - 1]
+            if q in image[n]:
+                assert inside, f"image of H not deletion closed at {q}"
+            elif inside:
+                minimal.add(q)
+    return minimal, tuple((n, len(image[n])) for n in range(max_len + 1))
 
 
 def capable_values(p, k, r):

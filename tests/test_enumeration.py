@@ -24,6 +24,7 @@ from patlab import (
     parse_class_expression,
     parse_perm,
 )
+from patlab.enumeration import avoider_masks
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
 
@@ -194,6 +195,44 @@ class TestKernelOracle:
         levels = levels_avoiders(basis, 6)
         for n in range(7):
             assert levels[n] == brute_force_avoiders(n, basis), (basis.patterns, n)
+
+    @settings(max_examples=50)
+    @given(BASES, st.integers(0, 6))
+    def test_avoider_masks_answer_membership(self, basis, max_n):
+        masks = avoider_masks(basis, max_n)
+        below = [brute_force_avoiders(n, basis) for n in range(max_n)]
+        assert set(masks) == set().union(*below), (basis.patterns, max_n)
+        if not max_n:
+            return
+        n = max_n
+
+        def member(w):
+            s = w.index(n)
+            dead = masks.get(w[:s] + w[s + 1 :])
+            return dead is not None and not dead >> s & 1
+
+        want = brute_force_avoiders(n, basis)
+        assert {w for w in permutations(range(1, n + 1)) if member(w)} == want
+        live = sum((~d & ((1 << n) - 1)).bit_count() for p, d in masks.items() if len(p) == n - 1)
+        assert live == len(want)
+
+    def test_avoider_masks_edges(self):
+        assert avoider_masks(basis_of(["12"]), 0) == {}
+        assert avoider_masks(basis_of(["12"]), 1) == {(): 0}
+        # a pattern of length 1 kills the root's one slot: Av_n is empty for n >= 1
+        assert avoider_masks(basis_of(["1"]), 1) == {(): 1}
+        assert avoider_masks(basis_of(["1", "123"]), 4) == {(): 1}
+        with pytest.raises(UsageError):
+            avoider_masks(basis_of(["12"]), -1)
+
+    def test_avoider_masks_never_build_the_last_length(self):
+        # the root, 1, 12 and 21 are 4 nodes; count_sequence also charges
+        # the 5 avoiders of length 3
+        assert len(avoider_masks(basis_of(["123"]), 3, node_budget=4)) == 4
+        with pytest.raises(BudgetExceededError):
+            avoider_masks(basis_of(["123"]), 3, node_budget=3)
+        with pytest.raises(BudgetExceededError):
+            count_sequence(3, basis_of(["123"]), node_budget=8)
 
     @settings(max_examples=6)
     @given(BASES)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import capable_values, oracle_contains, oracle_rank_marks, perms
+from conftest import capable_values, oracle_avoids_basis, oracle_contains, oracle_rank_marks, perms
 from patlab import (
     UsageError,
-    avoids,
     check_perm,
     contains,
     direct_sum,
@@ -20,6 +19,7 @@ from patlab import (
     pattern_of,
     reverse_complement,
 )
+from patlab.perms import deletions
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 
@@ -181,6 +181,17 @@ class TestPatternOf:
         assert pattern_of(p) == p
 
 
+class TestDeletions:
+    def test_small(self):
+        assert deletions(()) == set()
+        assert deletions((1,)) == {()}
+        assert deletions((2, 3, 1)) == {(1, 2), (2, 1)}
+
+    @given(perms(8))
+    def test_matches_pattern_of(self, p):
+        assert deletions(p) == {pattern_of(p[:t] + p[t + 1 :]) for t in range(len(p))}
+
+
 @given(perms(6), perms(3))
 def test_avoids_is_negation(p, q):
-    assert avoids(p, q) == (not contains(p, q))
+    assert (not contains(p, q)) == oracle_avoids_basis(p, [q])

@@ -3,13 +3,18 @@ benchmark harness. A name they use must not disappear silently; the tracer,
 for one, only prints a note to stderr and records nothing for that layer."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from patlab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -20,6 +25,10 @@ def _load(path: pathlib.Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+WORKLOADS = _load(PERFBENCH / "workloads.py")
+SMOKE_JOBS = [argv for name in WORKLOADS.NAMES for argv in WORKLOADS.jobs(name, "smoke")]
 
 
 def _patlab_imports(path: pathlib.Path) -> list[tuple[str, str]]:
@@ -59,3 +68,13 @@ def test_survey_script_runs():
     assert done.returncode == 3, done.stderr
     assert "EXPERIMENT 1:" in done.stdout
     assert "EXPERIMENT 2:" in done.stdout
+
+
+@pytest.mark.parametrize("argv", SMOKE_JOBS, ids=[WORKLOADS.key(a) for a in SMOKE_JOBS])
+def test_benchmark_smoke_jobs_match_reference(argv):
+    want = json.loads((PERFBENCH / "reference.json").read_text())["smoke"][WORKLOADS.key(argv)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == want["exit"]
+    assert out.getvalue() == want["stdout"]

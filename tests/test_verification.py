@@ -1,18 +1,28 @@
 """Wilf reports, certification, basis discovery, growth, sandwich, survey."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import patlab.verification as verification
+from conftest import oracle_avoids_basis, oracle_discover_basis
 from patlab import (
     UsageError,
     VerificationFailure,
+    avoids_basis,
     certify_map,
     construct_S_explicit,
+    count_sequence,
     discover_basis,
     distant_growth_bounds,
     growth_diagnostics,
+    invert_F,
+    levels_avoiders,
     make_basis,
+    map_F,
+    map_G,
+    map_H,
     monotone_basis,
     parse_class_expression,
     parse_perm,
@@ -21,6 +31,72 @@ from patlab import (
     survey_almost_distant,
     verify_wilf,
 )
+
+# (map, k, params) for every map and parameter at k = 3 and 4
+CERTIFY_CASES = (
+    [("F", k, {"i": i}) for k in (3, 4) for i in range(k)]
+    + [("G", k, {}) for k in (3, 4)]
+    + [("H", k, {"j": j}) for k in (3, 4) for j in range(2, k + 1)]
+)
+
+
+def source_and_target(map_name, k, i=None, j=None):
+    if map_name == "F":
+        return monotone_basis(k, i + 1, i + 1), monotone_basis(k, i + 2, i + 2)
+    if map_name == "G":
+        return monotone_basis(k, 2, 2), monotone_basis(k, 2, 1)
+    return monotone_basis(k, j, j - 1), monotone_basis(k, j, j)
+
+
+def oracle_certify_rows(map_name, k, max_n, i=None, j=None):
+    """The rows of ``certify_map``, rebuilt with one pattern search per image
+    and the counting engine for the target sizes."""
+    source, target = source_and_target(map_name, k, i, j)
+    if map_name == "F":
+        forward = lambda p: map_F(p, k, i).output
+        backward = lambda w: invert_F(w, k, i).output
+    elif map_name == "G":
+        forward = lambda p: map_G(p, k, "to_21").output
+        backward = lambda w: map_G(w, k, "to_22").output
+    else:
+        forward = lambda p: map_H(p, k, j).output
+        backward = None
+    levels = levels_avoiders(source, max_n)
+    sizes = count_sequence(max_n, target)
+    rows = []
+    for n in range(max_n + 1):
+        members = sorted(levels[n])
+        images = [forward(p) for p in members]
+        distinct = len(set(images))
+        rows.append({
+            "n": n,
+            "source_size": len(members),
+            "target_size": sizes.count(n),
+            "image_size": distinct,
+            "image_in_target": all(avoids_basis(w, target) for w in images),
+            "injective": distinct == len(images),
+            "surjective": distinct == sizes.count(n),
+            "roundtrip_ok": None
+            if backward is None
+            else all(backward(w) == p for p, w in zip(members, images)),
+        })
+    return rows
+
+
+def _identity_map(p, *args, **kwargs):
+    return SimpleNamespace(output=p, roles=None)
+
+
+def _constant_map(p, *args, **kwargs):
+    # every input of length n goes to n...21, which avoids every M(k,j,i)
+    return SimpleNamespace(output=tuple(range(len(p), 0, -1)), roles=None)
+
+
+def _G_without_inverse(p, k, direction="to_21", validate=True):
+    # G itself, but "to_22" returns its input instead of inverting G
+    if direction == "to_21":
+        return map_G(p, k, direction, validate=validate)
+    return SimpleNamespace(output=p, roles=None)
 
 
 class TestVerifyWilf:
@@ -95,6 +171,74 @@ class TestCertify:
         assert {"n", "source_size", "target_size", "image_size"} <= set(doc["rows"][0])
 
 
+class TestCertifyAgainstOracle:
+    @pytest.mark.parametrize("map_name, k, params", CERTIFY_CASES, ids=[
+        f"{m}-k{k}" + "".join(f"-{a}{v}" for a, v in p.items()) for m, k, p in CERTIFY_CASES
+    ])
+    def test_rows_match_pattern_search(self, map_name, k, params):
+        report = certify_map(map_name, k, max_n=6, **params)
+        assert list(report.rows) == oracle_certify_rows(map_name, k, 6, **params)
+
+
+class TestCertifyFailures:
+    """Broken maps patched into the module must fail with an exact witness."""
+
+    @pytest.mark.parametrize("attr, broken, args, witness", [
+        ("map_F", _identity_map, ("F", 3, {"i": 0}), {
+            "n": 4, "reason": "image leaves the target class",
+            "input": "1324", "output": "1324",
+        }),
+        ("map_H", _identity_map, ("H", 4, {"j": 3}), {
+            "n": 5, "reason": "image leaves the target class",
+            "input": "13245", "output": "13245",
+        }),
+        ("map_H", _constant_map, ("H", 4, {"j": 3}), {
+            "n": 2, "reason": "two inputs share an output",
+        }),
+        ("map_G", _constant_map, ("G", 3, {}), {
+            "n": 2, "reason": "roundtrip failed",
+            "input": "12", "output": "21", "recovered": "21",
+        }),
+        ("map_G", _G_without_inverse, ("G", 3, {}), {
+            "n": 4, "reason": "roundtrip failed",
+            "input": "1234", "output": "2134", "recovered": "2134",
+        }),
+    ], ids=["F-identity", "H-identity", "H-constant", "G-constant", "G-no-inverse"])
+    def test_counterexample(self, monkeypatch, attr, broken, args, witness):
+        monkeypatch.setattr(verification, attr, broken)
+        map_name, k, params = args
+        report = certify_map(map_name, k, max_n=6, **params)
+        assert not report.certified
+        assert report.counterexample == witness
+        doc = report.as_json_dict()
+        assert doc["verdict"] == "failed" and doc["witnesses"] == [witness]
+        if witness["reason"] == "image leaves the target class":
+            _, target = source_and_target(map_name, k, **params)
+            assert not oracle_avoids_basis(parse_perm(witness["output"]), target.patterns)
+
+    @pytest.mark.parametrize("swap, message, witness", [
+        # 21 leaves the image; 132 is the least member that drops to it
+        ({(2, 1): (1, 2)}, "132 drops to the non-member 21", (1, 3, 2)),
+        # 12 leaves the image; 123 drops to it by deleting its maximum
+        ({(1, 2): (2, 1)}, "123 drops to the non-member 12", (1, 2, 3)),
+        # 123 and 132 leave the image; 1243 drops to both, 123 is named
+        ({(1, 2, 3): (2, 3, 1), (1, 3, 2): (3, 2, 1)},
+         "1243 drops to the non-member 123", (1, 2, 4, 3)),
+    ])
+    def test_closure_failure_names_the_least_witness(self, monkeypatch, swap, message, witness):
+        def broken_H(p, k, j, validate=True):
+            return SimpleNamespace(output=swap.get(p, p), roles=None)
+
+        monkeypatch.setattr(verification, "map_H", broken_H)
+        with pytest.raises(VerificationFailure) as err:
+            discover_basis(3, 2, 5)
+        n = len(witness)
+        assert str(err.value) == (
+            f"image of H (k=3, j=2) is not deletion closed at n={n}: {message}"
+        )
+        assert err.value.witness == witness
+
+
 class TestExplicitBasis:
     def test_j2_is_plain_diagonal(self):
         assert construct_S_explicit(4, 2) == monotone_basis(4, 2, 2)
@@ -144,6 +288,14 @@ class TestDiscoverBasis:
         assert result.image_sizes[0] == (0, 1)
         sizes = dict(result.image_sizes)
         assert sizes[4] == math.factorial(4) - len(monotone_basis(3, 2, 2))
+
+    @pytest.mark.parametrize("k, j", [(k, j) for k in (3, 4) for j in range(2, k + 1)])
+    def test_matches_the_full_sweep(self, k, j):
+        for max_len in range(7):
+            result = discover_basis(k, j, max_len)
+            minimal, sizes = oracle_discover_basis(k, j, max_len)
+            assert result.discovered.as_set() == minimal, (k, j, max_len)
+            assert result.image_sizes == sizes
 
     def test_j_range(self):
         with pytest.raises(UsageError):
