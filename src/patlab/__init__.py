@@ -54,7 +54,6 @@ from .perms import (
     identity,
     lis_tables,
     parse_perm,
-    pattern_of,
     reverse_complement,
 )
 from .verification import (

@@ -2,12 +2,14 @@
 library, producing byte-deterministic csv, json, or table reports.
 
 Exit codes: 0 verified/equal/success, 1 verification failed (report carries
-the counterexample), 2 usage error, 3 experiment (neutral outcome by design).
+the counterexample), 2 usage error (an unwritable --out or stdout included),
+3 experiment (neutral outcome by design).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -333,15 +335,22 @@ def main(argv: list[str] | None = None) -> int:
     except PatlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = f"--out {args.out!r}" if args.out else "stdout"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        if not args.out:
+            # The unwritten bytes stay buffered and would fail again (exit 120)
+            # in the flush at exit, which skips closed streams; fd 1 stays open.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        return EXIT_USAGE
     return code
 
 

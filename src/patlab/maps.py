@@ -1,7 +1,8 @@
 """Structure-preserving maps between monotone almost-distant classes.
 
 Three families of rearrangements, all driven by rank capability inside
-occurrences of 12...k:
+occurrences of 12...k (an entry can act as rank r when an increasing run of
+length r ends there and one of length k-r+1 starts there):
 
 * ``map_F`` / ``invert_F``: move every rank-(i+1)-capable entry directly in
   front of its landing entry (the rightmost larger rank-(i+2) entry outside
@@ -14,6 +15,10 @@ occurrences of 12...k:
   Av(M(k,j,j-1)) into Av(M(k,j,j)). The mirrored shortcut in the other
   direction fails (see ``naive_reverse_H``), which is exactly why the image
   of H is a proper avoidance class of its own.
+
+``map_classes`` says which classes each map connects; the ``validate``
+checks, map certification and basis discovery all read it. G (both ways), H
+and ``naive_reverse_H`` share one window-reversal body (``_window_map``).
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -33,6 +38,7 @@ from .perms import Perm, format_perm, lis_tables, reverse_complement
 __all__ = [
     "RoleSets",
     "MapResult",
+    "map_classes",
     "role_sets",
     "map_F",
     "invert_F",
@@ -137,47 +143,100 @@ class MapResult:
         return None
 
 
-def _require_class(p: Perm, basis: PatternBasis, what: str) -> None:
-    if not avoids_basis(p, basis):
-        raise DomainError(f"{format_perm(p) or 'empty'} is not in Av({basis.label}); {what}")
+# (j, i) of the source and the target class M(k,j,i) of each map, given the
+# map's step index i (F, Finv) or rank j (H, Hrc, HnaiveInv) as x.
+_CLASS_ARGS = {
+    "F": lambda x: ((x + 1, x + 1), (x + 2, x + 2)),
+    "Finv": lambda x: ((x + 2, x + 2), (x + 1, x + 1)),
+    "G": lambda x: ((2, 2), (2, 1)),
+    "Ginv": lambda x: ((2, 1), (2, 2)),
+    "H": lambda x: ((x, x - 1), (x, x)),
+    "Hrc": lambda x: ((x, x + 1), (x, x)),
+    "HnaiveInv": lambda x: ((x, x), (x, x - 1)),
+}
+
+
+def map_classes(name: str, k: int, x: int | None = None) -> tuple[PatternBasis, PatternBasis]:
+    """The (source, target) classes of the map called ``name`` in
+    ``MapResult.map_name``, where ``x`` is its step index i (F, Finv) or its
+    rank j (H, Hrc, HnaiveInv); G and Ginv take none.
+
+    >>> [c.label for c in map_classes("H", 4, 3)]
+    ['M(4,3,2)', 'M(4,3,3)']
+    """
+    if name not in _CLASS_ARGS:
+        raise UsageError(f"unknown map {name!r} (expected one of {', '.join(_CLASS_ARGS)})")
+    if x is None and name not in ("G", "Ginv"):
+        raise UsageError(f"map {name} needs its step index or rank")
+    source, target = _CLASS_ARGS[name](x)
+    return monotone_basis(k, *source), monotone_basis(k, *target)
+
+
+def _enter(name: str, p: Perm, k: int, x: int | None, validate: bool):
+    """Check the step index i or rank j ``x`` of map ``name`` (G checks its
+    own arguments) and, with ``validate``, that ``p`` lies in the source
+    class. Returns the target class to check the output against, or None."""
+    if name in ("F", "Finv"):
+        if k < 1:
+            raise UsageError(f"k must be >= 1, got {k}")
+        if not 0 <= x <= k - 1:
+            raise UsageError(f"step index i must be in 0..{k - 1}, got {x}")
+    elif name not in ("G", "Ginv") and not 2 <= x <= k:
+        raise UsageError(f"j must be in 2..k for this map, got j={x}, k={k}")
+    if not validate:
+        return None
+    source, target = map_classes(name, k, x)
+    if not avoids_basis(p, source):
+        what = "required by this step" if name in ("F", "Finv") else "required by this map"
+        raise DomainError(f"{format_perm(p) or 'empty'} is not in Av({source.label}); {what}")
+    return target
+
+
+def _result(
+    name: str, p: Perm, k: int, output: Perm, params: tuple, target, roles=None, windows=None
+) -> MapResult:
+    """One application's report; ``target`` is None when the input went unchecked."""
+    checked = target is not None
+    return MapResult(
+        map_name=name,
+        k=k,
+        input=p,
+        output=output,
+        params=params,
+        roles=roles,
+        windows=windows,
+        pre_checked=True if checked else None,
+        post_checked=avoids_basis(output, target) if checked else None,
+    )
+
+
+def _capable(up: tuple[int, ...], down: tuple[int, ...], k: int, r: int, skip=()) -> list[int]:
+    """Positions outside ``skip`` that can act as rank r of 12...k, by ``lis_tables``."""
+    # a loop: on Python 3.11 a comprehension costs one more frame per call
+    need = k - r + 1
+    out = []
+    for t in range(len(up)):
+        if up[t] >= r and down[t] >= need and t not in skip:
+            out.append(t)
+    return out
 
 
 def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
     """Compute B (rank-(i+1)-capable), A (rank-i-capable outside B, or the
     start anchor for i = 0), C (rank-(i+2)-capable outside B, or the end
     anchor for i = k-1), and the landing map f."""
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if not 0 <= i <= k - 1:
-        raise UsageError(f"step index i must be in 0..{k - 1}, got {i}")
-    if validate:
-        _require_class(p, monotone_basis(k, i + 1, i + 1), "required by this step")
+    _enter("F", p, k, i, validate)
     up, down = lis_tables(p)
-    n = len(p)
-    b = tuple(t for t in range(n) if up[t] >= i + 1 and down[t] >= k - i)
-    bset = set(b)
-    a = None
-    if i > 0:
-        a = tuple(
-            t for t in range(n) if t not in bset and up[t] >= i and down[t] >= k - i + 1
-        )
-    c = None
-    if i < k - 1:
-        c = tuple(
-            t
-            for t in range(n)
-            if t not in bset and up[t] >= i + 2 and down[t] >= k - i - 1
-        )
+    b = tuple(_capable(up, down, k, i + 1))
+    a = None if i == 0 else tuple(_capable(up, down, k, i, b))
+    c = None if i == k - 1 else tuple(_capable(up, down, k, i + 2, b))
     f: list[tuple[int, int | None]] = []
     for t in b:
-        if c is None:
-            f.append((t, None))
-            continue
-        landing = None
-        for cpos in c:
+        landing = None  # stays None for the end anchor
+        for cpos in c or ():
             if p[cpos] > p[t]:
                 landing = cpos
-        if landing is None:
+        if landing is None and c is not None:
             raise InternalCheckError(
                 f"no landing entry above value {p[t]} in {format_perm(p)} "
                 f"(k={k}, i={i}); input violates the step's guarantees"
@@ -192,34 +251,19 @@ def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     """Move every B entry directly before its landing entry (end anchor for
     i = k-1), ties in increasing order; everything else keeps its order."""
     roles = role_sets(p, k, i, validate)
-    bset = set(roles.b_positions)
-    pending: dict[int, list[int]] = defaultdict(list)
-    at_end: list[int] = []
+    pending: dict[int | None, list[int]] = defaultdict(list)  # None: the end anchor
     for b, c in roles.f_map:
-        if c is None:
-            at_end.append(p[b])
-        else:
-            pending[c].append(p[b])
+        pending[c].append(p[b])
     out: list[int] = []
     for t in range(len(p)):
-        if t in bset:
+        if t in roles.b_positions:
             continue
         if t in pending:
             out.extend(sorted(pending[t]))
         out.append(p[t])
-    out.extend(sorted(at_end))
-    output = tuple(out)
-    post = avoids_basis(output, monotone_basis(k, i + 2, i + 2)) if validate else None
-    return MapResult(
-        map_name="F",
-        k=k,
-        input=p,
-        output=output,
-        params=(("i", i),),
-        roles=roles,
-        pre_checked=True if validate else None,
-        post_checked=post,
-    )
+    out.extend(sorted(pending[None]))
+    target = map_classes("F", k, i)[1] if validate else None
+    return _result("F", p, k, tuple(out), (("i", i),), target, roles=roles)
 
 
 def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
@@ -233,81 +277,55 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     there. With ``validate`` the reconstruction is confirmed by re-applying
     the forward map.
     """
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if not 0 <= i <= k - 1:
-        raise UsageError(f"step index i must be in 0..{k - 1}, got {i}")
-    if validate:
-        _require_class(w, monotone_basis(k, i + 2, i + 2), "required by this step")
+    target = _enter("Finv", w, k, i, validate)
     up, down = lis_tables(w)
-    n = len(w)
-    b = [t for t in range(n) if up[t] >= i + 1 and down[t] >= k - i]
-    bset = set(b)
-    out: list[int] = []
-    if i == 0:
-        out.extend(sorted(w[t] for t in b))
-        out.extend(w[t] for t in range(n) if t not in bset)
-    else:
-        a = [t for t in range(n) if t not in bset and up[t] >= i and down[t] >= k - i + 1]
-        attach: dict[int, list[int]] = defaultdict(list)
-        for t in b:
-            partner = None
-            for cand in a:
-                if cand >= t:
-                    break
-                if w[cand] < w[t]:
-                    partner = cand
-                    break
-            if partner is None:
-                raise NotInImageError(
-                    f"{format_perm(w)} is not in the image of the step "
-                    f"(k={k}, i={i}): value {w[t]} has no partner entry"
-                )
-            attach[partner].append(w[t])
-        for t in range(n):
-            if t in bset:
-                continue
-            out.append(w[t])
-            if t in attach:
-                out.extend(sorted(attach[t]))
-    output = tuple(out)
-    if validate:
-        redo = map_F(output, k, i, validate=False)
-        if redo.output != w:
+    b = _capable(up, down, k, i + 1)
+    a = _capable(up, down, k, i, b) if i else []
+    attach: dict[int, list[int]] = defaultdict(list)  # -1: the start anchor
+    for t in b:
+        partner = None if i else -1
+        for cand in a:
+            if cand >= t:
+                break
+            if w[cand] < w[t]:
+                partner = cand
+                break
+        if partner is None:
             raise NotInImageError(
-                f"{format_perm(w)} is not in the image of the step (k={k}, i={i}): "
-                "reconstruction does not map back"
+                f"{format_perm(w)} is not in the image of the step "
+                f"(k={k}, i={i}): value {w[t]} has no partner entry"
             )
-    post = avoids_basis(output, monotone_basis(k, i + 1, i + 1)) if validate else None
-    return MapResult(
-        map_name="Finv",
-        k=k,
-        input=w,
-        output=output,
-        params=(("i", i),),
-        pre_checked=True if validate else None,
-        post_checked=post,
-    )
+        attach[partner].append(w[t])
+    out = sorted(attach[-1])
+    for t in range(len(w)):
+        if t in b:
+            continue
+        out.append(w[t])
+        if t in attach:
+            out.extend(sorted(attach[t]))
+    output = tuple(out)
+    if validate and map_F(output, k, i, validate=False).output != w:
+        raise NotInImageError(
+            f"{format_perm(w)} is not in the image of the step (k={k}, i={i}): "
+            "reconstruction does not map back"
+        )
+    return _result("Finv", w, k, output, (("i", i),), target)
 
 
-def _reversal_windows(
-    p: Perm, k: int, rank: int, exclude_lower: bool
-) -> tuple[tuple[int, int], ...]:
-    """Windows [h(a), a) of positions to reverse, one per anchor entry.
+def _window_map(
+    name: str, p: Perm, k: int, rank: int, exclude_lower: bool, params: tuple, validate: bool
+) -> MapResult:
+    """Reverse the window [h(a), a) in front of every anchor a.
 
-    Anchors are the rank-capable entries (minus the (rank-1)-capable ones
-    when ``exclude_lower``); h(a) is the leftmost smaller entry that can act
+    Anchors are the rank-capable entries, minus the (rank-1)-capable ones
+    when ``exclude_lower``; h(a) is the leftmost smaller entry that can act
     as rank-1 toward the anchor. Windows must come out pairwise disjoint on
     class members; overlap means the input was outside the class.
     """
+    target = _enter(name, p, k, rank, validate)
     up, down = lis_tables(p)
-    n = len(p)
-    need_down = k - rank + 1
-    anchors = [t for t in range(n) if up[t] >= rank and down[t] >= need_down]
-    if exclude_lower:
-        anchors = [
-            t for t in anchors if not (up[t] >= rank - 1 and down[t] >= need_down + 1)
-        ]
+    lower = _capable(up, down, k, rank - 1) if exclude_lower else ()
+    anchors = _capable(up, down, k, rank, lower)
     windows: list[tuple[int, int]] = []
     for a in anchors:
         pa = p[a]
@@ -329,14 +347,10 @@ def _reversal_windows(
                 f"overlapping reversal windows in {format_perm(p)} "
                 f"(k={k}, rank={rank}); input violates the map's guarantees"
             )
-    return tuple(windows)
-
-
-def _reverse_windows(p: Perm, windows: tuple[tuple[int, int], ...]) -> Perm:
     out = list(p)
     for s, e in windows:
         out[s:e] = reversed(out[s:e])
-    return tuple(out)
+    return _result(name, p, k, tuple(out), params, target, windows=tuple(windows))
 
 
 def map_G(p: Perm, k: int, direction: str = "to_21", validate: bool = True) -> MapResult:
@@ -351,89 +365,29 @@ def map_G(p: Perm, k: int, direction: str = "to_21", validate: bool = True) -> M
         raise UsageError(f"k must be >= 2 for this map, got {k}")
     if direction not in ("to_21", "to_22"):
         raise UsageError(f"direction must be to_21 or to_22, got {direction!r}")
-    src_i = 2 if direction == "to_21" else 1
-    tgt_i = 1 if direction == "to_21" else 2
-    if validate:
-        _require_class(p, monotone_basis(k, 2, src_i), "required by this map")
-    windows = _reversal_windows(p, k, rank=2, exclude_lower=True)
-    output = _reverse_windows(p, windows)
-    post = avoids_basis(output, monotone_basis(k, 2, tgt_i)) if validate else None
-    return MapResult(
-        map_name="G" if direction == "to_21" else "Ginv",
-        k=k,
-        input=p,
-        output=output,
-        params=(("direction", direction),),
-        windows=windows,
-        pre_checked=True if validate else None,
-        post_checked=post,
-    )
+    name = "G" if direction == "to_21" else "Ginv"
+    return _window_map(name, p, k, 2, True, (("direction", direction),), validate)
 
 
 def map_H(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:
     """Reverse each rank-j anchor's window of possible (j-1)-partners:
     an injection from Av(M(k,j,j-1)) into Av(M(k,j,j))."""
-    if not 2 <= j <= k:
-        raise UsageError(f"j must be in 2..k for this map, got j={j}, k={k}")
-    if validate:
-        _require_class(p, monotone_basis(k, j, j - 1), "required by this map")
-    windows = _reversal_windows(p, k, rank=j, exclude_lower=False)
-    output = _reverse_windows(p, windows)
-    post = avoids_basis(output, monotone_basis(k, j, j)) if validate else None
-    return MapResult(
-        map_name="H",
-        k=k,
-        input=p,
-        output=output,
-        params=(("j", j),),
-        windows=windows,
-        pre_checked=True if validate else None,
-        post_checked=post,
-    )
+    return _window_map("H", p, k, j, False, (("j", j),), validate)
 
 
 def map_H_conjugate(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:
     """The i = j+1 companion of ``map_H``: an injection from Av(M(k,j,j+1))
     into Av(M(k,j,j)), realized by conjugating H with reverse-complement."""
-    if not 2 <= j <= k:
-        raise UsageError(f"j must be in 2..k for this map, got j={j}, k={k}")
-    if validate:
-        _require_class(p, monotone_basis(k, j, j + 1), "required by this map")
+    target = _enter("Hrc", p, k, j, validate)
     inner = map_H(reverse_complement(p), k, k + 2 - j, validate=False)
-    output = reverse_complement(inner.output)
-    post = avoids_basis(output, monotone_basis(k, j, j)) if validate else None
-    return MapResult(
-        map_name="Hrc",
-        k=k,
-        input=p,
-        output=output,
-        params=(("j", j),),
-        pre_checked=True if validate else None,
-        post_checked=post,
-    )
+    return _result("Hrc", p, k, reverse_complement(inner.output), (("j", j),), target)
 
 
 def naive_reverse_H(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:
     """The would-be inverse of ``map_H``, mirroring its construction on
     Av(M(k,j,j)). It does not always land in Av(M(k,j,j-1)) for j > 2;
     kept as a diagnostic (312456 with k=4, j=3 is the classic escape)."""
-    if not 2 <= j <= k:
-        raise UsageError(f"j must be in 2..k for this map, got j={j}, k={k}")
-    if validate:
-        _require_class(p, monotone_basis(k, j, j), "required by this map")
-    windows = _reversal_windows(p, k, rank=j, exclude_lower=True)
-    output = _reverse_windows(p, windows)
-    post = avoids_basis(output, monotone_basis(k, j, j - 1)) if validate else None
-    return MapResult(
-        map_name="HnaiveInv",
-        k=k,
-        input=p,
-        output=output,
-        params=(("j", j),),
-        windows=windows,
-        pre_checked=True if validate else None,
-        post_checked=post,
-    )
+    return _window_map("HnaiveInv", p, k, j, True, (("j", j),), validate)
 
 
 def apply_named_map(
@@ -446,20 +400,11 @@ def apply_named_map(
     validate: bool = True,
 ) -> MapResult:
     """Dispatch for the CLI-facing map names F, Finv, G, Ginv, H."""
-    if name == "F":
-        if i is None:
-            raise UsageError("map F needs --i")
-        return map_F(p, k, i, validate)
-    if name == "Finv":
-        if i is None:
-            raise UsageError("map Finv needs --i")
-        return invert_F(p, k, i, validate)
-    if name == "G":
-        return map_G(p, k, "to_21", validate)
-    if name == "Ginv":
-        return map_G(p, k, "to_22", validate)
-    if name == "H":
-        if j is None:
-            raise UsageError("map H needs --j")
-        return map_H(p, k, j, validate)
-    raise UsageError(f"unknown map {name!r} (expected F, Finv, G, Ginv, or H)")
+    if name in ("G", "Ginv"):
+        return map_G(p, k, "to_21" if name == "G" else "to_22", validate)
+    if name not in ("F", "Finv", "H"):
+        raise UsageError(f"unknown map {name!r} (expected F, Finv, G, Ginv, or H)")
+    flag, x = ("j", j) if name == "H" else ("i", i)
+    if x is None:
+        raise UsageError(f"map {name} needs --{flag}")
+    return {"F": map_F, "Finv": invert_F, "H": map_H}[name](p, k, x, validate)

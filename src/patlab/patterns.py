@@ -32,7 +32,6 @@ __all__ = [
     "MACRO_RE",
     "PatternBasis",
     "make_basis",
-    "insert_value",
     "expand_distant",
     "monotone_basis",
     "distant_monotone_basis",
@@ -42,11 +41,11 @@ __all__ = [
 ]
 
 
-def insert_value(q: Perm, pos0: int, v: int) -> Perm:
+def _insert_value(q: Perm, pos0: int, v: int) -> Perm:
     """Insert value ``v`` at 0-based position ``pos0`` of ``q``, shifting
     every entry >= v up by one.
 
-    >>> insert_value((1, 2, 3), 2, 1)
+    >>> _insert_value((1, 2, 3), 2, 1)
     (2, 3, 1, 4)
     """
     shifted = tuple(e + 1 if e >= v else e for e in q)
@@ -126,7 +125,7 @@ def expand_distant(
         parts.insert(box_pos - 1, "#" if removed is None else f"[{removed}]")
         label = ("" if k <= 9 else " ").join(parts)
     return make_basis(
-        (insert_value(q, box_pos - 1, v) for v in range(1, k + 2) if v != removed), label
+        (_insert_value(q, box_pos - 1, v) for v in range(1, k + 2) if v != removed), label
     )
 
 

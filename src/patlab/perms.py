@@ -10,7 +10,7 @@ on them) speak 1-based values and positions, matching one-line notation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import UsageError
 
@@ -22,7 +22,6 @@ __all__ = [
     "identity",
     "parse_perm",
     "format_perm",
-    "pattern_of",
     "deletions",
     "contains",
     "reverse_complement",
@@ -79,16 +78,6 @@ def format_perm(p: Perm) -> str:
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return " ".join(str(v) for v in p)
-
-
-def pattern_of(values: Sequence[int]) -> Perm:
-    """Order-isomorphic reduction of a distinct-value sequence.
-
-    >>> pattern_of((8, 2, 4, 5))
-    (4, 1, 2, 3)
-    """
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
 
 
 def deletions(p: Perm) -> set[Perm]:

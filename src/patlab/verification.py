@@ -22,7 +22,7 @@ from .enumeration import (
     levels_avoiders,
 )
 from .errors import UsageError, VerificationFailure
-from .maps import invert_F, map_F, map_G, map_H
+from .maps import invert_F, map_classes, map_F, map_G, map_H
 from .patterns import (
     PatternBasis,
     basis_union,
@@ -170,15 +170,11 @@ def certify_map(
     if map_name == "F":
         if i is None or not 0 <= i <= k - 1:
             raise UsageError(f"map F needs a step index i in 0..{k - 1}")
-        source = monotone_basis(k, i + 1, i + 1)
-        target = monotone_basis(k, i + 2, i + 2)
         params: tuple = (("i", i),)
         expectation = "bijection"
         forward = lambda p: map_F(p, k, i, validate=False)
         backward = lambda w: invert_F(w, k, i, validate=False)
     elif map_name == "G":
-        source = monotone_basis(k, 2, 2)
-        target = monotone_basis(k, 2, 1)
         params = (("direction", "to_21"),)
         expectation = "bijection"
         forward = lambda p: map_G(p, k, "to_21", validate=False)
@@ -186,8 +182,6 @@ def certify_map(
     elif map_name == "H":
         if j is None or not 2 <= j <= k:
             raise UsageError(f"map H needs j in 2..{k}")
-        source = monotone_basis(k, j, j - 1)
-        target = monotone_basis(k, j, j)
         params = (("j", j),)
         expectation = "injection"
         forward = lambda p: map_H(p, k, j, validate=False)
@@ -195,6 +189,7 @@ def certify_map(
     else:
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
 
+    source, target = map_classes(map_name, k, j if map_name == "H" else i)
     src_levels = levels_avoiders(source, max_n, node_budget=node_budget)
     masks = avoider_masks(target, max_n, node_budget=node_budget)
     tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
@@ -362,8 +357,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
         raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
     if max_len > 9:
         raise UsageError(f"max_len is capped at 9, got {max_len}")
-    source = monotone_basis(k, j, j - 1)
-    src_levels = levels_avoiders(source, max_len, node_budget=node_budget)
+    src_levels = levels_avoiders(map_classes("H", k, j)[0], max_len, node_budget=node_budget)
     image: dict[int, frozenset[Perm]] = {}
     minimal: list[Perm] = []
     for n in range(max_len + 1):

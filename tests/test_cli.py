@@ -1,13 +1,24 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import errno
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import patlab
 from patlab.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
+SRC = pathlib.Path(patlab.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -54,6 +65,35 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "report.csv" in err
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestUnwritableStdout:
+    def test_broken_pipe_is_usage_error(self, capsys, monkeypatch):
+        broken = _BrokenStdout()
+        monkeypatch.setattr(sys, "stdout", broken)
+        code = main(["count", "--class", "123", "--n", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        assert broken.closed
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_two_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "patlab.cli", "count", "--class", "123", "--n", "5"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        ]
 
 
 class TestDeterminism:
@@ -280,3 +320,116 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# -- argv fuzz: the exit-code contract holds for every input ----------------
+
+_HUGE = st.integers(10**6, 10**40) | st.integers(-(10**40), -(10**6))
+# mostly in range, so that many examples get past the usage checks
+_N = st.one_of(st.integers(0, 6), st.integers(0, 6), st.integers(-3, 12), _HUGE).map(str)
+_IJ = st.one_of(st.integers(0, 4), st.integers(2, 4), st.integers(-3, 9), _HUGE).map(str)
+# k stays small: a valid huge k builds a basis of about k^2 entries up front.
+_K = st.one_of(st.integers(2, 4), st.integers(2, 4), st.integers(-2, 6)).map(str)
+# --budget is at most PATLAB_BUDGET, so no example outgrows it.
+_BUDGET = st.one_of(
+    st.integers(1000, 3000), st.integers(-3, 3000), st.integers(-(10**40), -(10**6))
+).map(str)
+_COMPACT = st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+    lambda p: "".join(map(str, p))
+)
+_VALID_PART = st.one_of(
+    st.builds("M({},{},{})".format, st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+    st.builds("D({},{})".format, st.integers(1, 4), st.integers(1, 5)),
+    _COMPACT,
+    st.builds(lambda p, t: p[:t] + "#" + p[t:], _COMPACT, st.integers(0, 5)),
+)
+_JUNK_PART = st.one_of(
+    st.lists(
+        st.sampled_from(list("123456789#") + ["[2]", "[9]", "[", "]", "0", " ", "x", "#^2"]),
+        max_size=7,
+    ).map("".join),
+    st.builds(
+        lambda name, args: f"{name}({','.join(map(str, args))})",
+        st.sampled_from(["M", "D"]),
+        st.lists(st.integers(0, 6), max_size=4),
+    ),
+)
+_CLASS = st.lists(_VALID_PART | _VALID_PART | _JUNK_PART, min_size=1, max_size=2).map(";".join)
+_PERM = (
+    st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda p: "".join(map(str, p)))
+    | st.sampled_from(["", "12x", "1 1", "0", "21 3", "3 1 2", "8 3 2 11 12 5 6 9 10 14 4 1 13 7"])
+)
+# survey counts (k+1)^2 variants of its pattern, so its perms stay short.
+_SHORT_PERM = st.sampled_from(["", "1", "12", "21", "132", "2413", "x", "11", "0"])
+_ALL_FORMATS = ("csv", "json", "table")
+_JSON_TABLE = ("json", "table")
+
+# command: (required flags, optional flags, --format choices); None marks a
+# flag without a value
+_FLAGS = {
+    "count": ({"--class": _CLASS, "--n": _N}, {"--budget": _BUDGET, "--no-parallel": None},
+              _ALL_FORMATS),
+    "verify-wilf": ({"--left": _CLASS, "--right": _CLASS, "--n": _N},
+                    {"--budget": _BUDGET, "--no-parallel": None}, _ALL_FORMATS),
+    "map": ({"--map": st.sampled_from(["F", "Finv", "G", "Ginv", "H"]), "--k": _K, "--perm": _PERM},
+            {"--i": _IJ, "--j": _IJ}, _JSON_TABLE),
+    "certify": ({"--map": st.sampled_from(["F", "G", "H"]), "--k": _K, "--n": _N},
+                {"--i": _IJ, "--j": _IJ, "--budget": _BUDGET}, _JSON_TABLE),
+    "basis": ({"--k": _K, "--j": _IJ, "--n": _N}, {"--budget": _BUDGET}, _JSON_TABLE),
+    "sandwich": ({"--k": _K, "--j": _IJ, "--n": _N}, {"--budget": _BUDGET}, _ALL_FORMATS),
+    "growth": ({"--class": _CLASS, "--n": _N}, {"--budget": _BUDGET, "--no-parallel": None},
+               _ALL_FORMATS),
+    "survey": ({"--perm": _SHORT_PERM, "--n": _N}, {"--budget": _BUDGET, "--no-parallel": None},
+               _ALL_FORMATS),
+}
+# what argparse must refuse: a flag or a value no command takes
+_STRAY = [["--bogus"], ["--format", "xml"], ["--map", "K"], ["--no-parallel"], ["--budget"]]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional, formats = _FLAGS[command]
+    # now and then one required flag is left out, or a stray one added
+    missing = draw(st.sampled_from([None] * 19 + list(required)))
+    chosen = {flag: values for flag, values in required.items() if flag != missing}
+    chosen.update((flag, values) for flag, values in optional.items() if draw(st.booleans()))
+    chosen["--format"] = st.sampled_from(formats)
+    argv = [command]
+    for flag, values in chosen.items():
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(values))
+    return argv + draw(st.sampled_from([[]] * 19 + _STRAY))
+
+
+def _reports_failure(command: str, out: str) -> bool:
+    """Whether stdout holds a report whose verdict is a failure."""
+    if out.startswith("{"):
+        verdict = json.loads(out).get("verdict")
+        return verdict in ("diverges_at", "failed", "prediction-mismatch")
+    if command == "verify-wilf" and out.startswith("n,left,right\n"):
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        return any(left != right for _, left, right in rows)
+    if command == "verify-wilf":
+        return "verdict: diverges at n=" in out
+    if command == "certify":
+        return out.endswith(": FAILED\n")
+    return command == "basis" and "match: False" in out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_argv_fuzz_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"PATLAB_BUDGET": "3000"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        assert _reports_failure(argv[0], out.getvalue()), argv

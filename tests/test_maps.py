@@ -12,6 +12,7 @@ from patlab import (
     avoids_basis,
     contains,
     invert_F,
+    levels_avoiders,
     map_F,
     map_G,
     map_H,
@@ -22,6 +23,7 @@ from patlab import (
     reverse_complement,
     role_sets,
 )
+from patlab.maps import map_classes
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
@@ -290,3 +292,76 @@ class TestReportShape:
         res = map_G(parse_perm("123"), 3, "to_21")
         doc = res.as_json_dict()
         assert doc["windows_or_roles"] == {"windows": [{"start": 1, "end": 1, "values": [1]}]}
+
+
+# Each map by its MapResult.map_name, applied with validation, with the
+# values of its i or j (None: the map takes neither) for a given k.
+VALIDATED = {
+    "F": (lambda p, k, x: map_F(p, k, x), lambda k: range(k)),
+    "Finv": (lambda p, k, x: invert_F(p, k, x), lambda k: range(k)),
+    "G": (lambda p, k, x: map_G(p, k, "to_21"), lambda k: [None]),
+    "Ginv": (lambda p, k, x: map_G(p, k, "to_22"), lambda k: [None]),
+    "H": (lambda p, k, x: map_H(p, k, x), lambda k: range(2, k + 1)),
+    "Hrc": (lambda p, k, x: map_H_conjugate(p, k, x), lambda k: range(2, k + 1)),
+    "HnaiveInv": (lambda p, k, x: naive_reverse_H(p, k, x), lambda k: range(2, k + 1)),
+}
+
+
+class TestMapClasses:
+    @pytest.mark.parametrize("name", list(VALIDATED))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_members_pass_both_checks(self, name, k):
+        apply, xs = VALIDATED[name]
+        for x in xs(k):
+            source, target = map_classes(name, k, x)
+            levels = levels_avoiders(source, 6)
+            escapes = set()
+            for n in range(7):
+                for p in sorted(levels[n]):
+                    res = apply(p, k, x)
+                    assert res.map_name == name
+                    assert res.pre_checked is True, (x, p)
+                    assert res.post_checked == avoids_basis(res.output, target), (x, p)
+                    if not res.post_checked:
+                        escapes.add(p)
+            if name == "HnaiveInv" and x > 2:
+                # the known escape of the mirrored H (see TestNaiveReverse)
+                assert escapes
+                if (k, x) == (4, 3):
+                    assert escapes == {parse_perm("312456")}
+            else:
+                assert not escapes, (x, sorted(escapes)[:3])
+
+    @pytest.mark.parametrize("name", list(VALIDATED))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_non_member_is_refused(self, name, k):
+        apply, xs = VALIDATED[name]
+        for x in xs(k):
+            source, _ = map_classes(name, k, x)
+            outsider = source.patterns[0]
+            with pytest.raises(DomainError) as exc:
+                apply(outsider, k, x)
+            assert str(exc.value).startswith(
+                f"{''.join(map(str, outsider))} is not in Av({source.label}); required by this "
+            )
+
+    def test_labels(self):
+        labels = {
+            name: tuple(c.label for c in map_classes(name, 4, None if name[0] == "G" else 3))
+            for name in VALIDATED
+        }
+        assert labels == {
+            "F": ("M(4,4,4)", "M(4,5,5)"),
+            "Finv": ("M(4,5,5)", "M(4,4,4)"),
+            "G": ("M(4,2,2)", "M(4,2,1)"),
+            "Ginv": ("M(4,2,1)", "M(4,2,2)"),
+            "H": ("M(4,3,2)", "M(4,3,3)"),
+            "Hrc": ("M(4,3,4)", "M(4,3,3)"),
+            "HnaiveInv": ("M(4,3,3)", "M(4,3,2)"),
+        }
+
+    def test_unknown_name_and_missing_index(self):
+        with pytest.raises(UsageError):
+            map_classes("K", 4, 1)
+        with pytest.raises(UsageError):
+            map_classes("F", 4)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import capable_values, oracle_avoids_basis, oracle_contains, oracle_rank_marks, perms
+from conftest import (
+    capable_values,
+    oracle_avoids_basis,
+    oracle_contains,
+    oracle_pattern_of,
+    oracle_rank_marks,
+    perms,
+)
 from patlab import (
     UsageError,
     check_perm,
@@ -16,7 +23,6 @@ from patlab import (
     identity,
     lis_tables,
     parse_perm,
-    pattern_of,
     reverse_complement,
 )
 from patlab.perms import deletions
@@ -91,7 +97,7 @@ class TestContains:
         for n in range(5 + 1):
             for w in permutations(range(1, n + 1)):
                 subs = {
-                    pattern_of(c) for size in range(n + 1) for c in combinations(w, size)
+                    oracle_pattern_of(c) for size in range(n + 1) for c in combinations(w, size)
                 }
                 for q in qs:
                     in_w = contains(w, q)
@@ -172,15 +178,6 @@ class TestRankCapability:
                 assert (up[t] >= r and down[t] >= k - r + 1) == ((t, r) in marks)
 
 
-class TestPatternOf:
-    def test_reduction(self):
-        assert pattern_of((8, 2, 4, 5)) == (4, 1, 2, 3)
-
-    @given(perms(8))
-    def test_fixed_point_on_perms(self, p):
-        assert pattern_of(p) == p
-
-
 class TestDeletions:
     def test_small(self):
         assert deletions(()) == set()
@@ -189,7 +186,7 @@ class TestDeletions:
 
     @given(perms(8))
     def test_matches_pattern_of(self, p):
-        assert deletions(p) == {pattern_of(p[:t] + p[t + 1 :]) for t in range(len(p))}
+        assert deletions(p) == {oracle_pattern_of(p[:t] + p[t + 1 :]) for t in range(len(p))}
 
 
 @given(perms(6), perms(3))

@@ -1,19 +1,23 @@
 """Code outside the package that imports patlab: the scripts and the
 benchmark harness. A name they use must not disappear silently; the tracer,
-for one, only prints a note to stderr and records nothing for that layer."""
+for one, only prints a note to stderr and records nothing for that layer.
+The ``>>>`` examples in the package's docstrings run here too."""
 
 import ast
 import contextlib
+import doctest
 import importlib
 import importlib.util
 import io
 import json
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import patlab
 from patlab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -78,3 +82,16 @@ def test_benchmark_smoke_jobs_match_reference(argv):
         code = cli.main(argv)
     assert code == want["exit"]
     assert out.getvalue() == want["stdout"]
+
+
+def test_docstring_examples():
+    modules = [patlab] + [
+        importlib.import_module(f"patlab.{info.name}")
+        for info in pkgutil.iter_modules(patlab.__path__)
+    ]
+    attempted = 0
+    for module in modules:
+        result = doctest.testmod(module)
+        assert result.failed == 0, module.__name__
+        attempted += result.attempted
+    assert attempted >= 10  # so that finding no examples cannot pass
