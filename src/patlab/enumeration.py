@@ -19,10 +19,11 @@ search per basis pattern with that entry pinned, and the last level is
 counted from its parents' masks without building a permutation. The
 brute-force filter is the oracle this answers to.
 
-Counting mode never materializes permutations; ``levels_avoiders`` returns
-the avoiders of every length as sets, and ``avoider_masks`` the masks of
-every avoider below the last length, which answer membership at the last
-length by one bit each. The traversal may fan out subtrees to
+Counting mode never materializes permutations; ``walk_avoiders`` hands
+every avoider and its mask to a callback, ``levels_avoiders`` returns the
+avoiders of every length as sets, and ``avoider_masks`` the masks of every
+avoider below the last length, which answer membership at the last length
+by one bit each. The traversal may fan out subtrees to
 forked workers for counting; workers share nothing but a monotone
 node-budget counter, and per-depth counts are summed, so parallel and
 sequential runs agree exactly.
@@ -44,6 +45,7 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "CountSequence",
     "avoids_basis",
+    "walk_avoiders",
     "levels_avoiders",
     "avoider_masks",
     "count_sequence",
@@ -304,14 +306,24 @@ def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:
     return counts
 
 
+def walk_avoiders(
+    basis: PatternBasis, max_n: int, emit, *, node_budget: int | None = None
+) -> list[int]:
+    """Call ``emit(p, mask)`` on every avoider p of length <= max_n, in
+    tree order (each parent before its children), with p's dead-slot mask
+    (None at length max_n). A true return skips p's descendants. Returns
+    the number of avoiders visited at each length."""
+    if max_n < 0:
+        raise UsageError(f"max_n must be >= 0, got {max_n}")
+    return _walk(basis, max_n, _NodeBudget(_limit(node_budget)), emit)
+
+
 def levels_avoiders(
     basis: PatternBasis, max_n: int, *, node_budget: int | None = None
 ) -> dict[int, set[Perm]]:
     """All avoiders for every length 0..max_n from a single traversal."""
-    if max_n < 0:
-        raise UsageError(f"max_n must be >= 0, got {max_n}")
     out: dict[int, set[Perm]] = {n: set() for n in range(max_n + 1)}
-    _walk(basis, max_n, _NodeBudget(_limit(node_budget)), lambda p, _mask: out[len(p)].add(p))
+    walk_avoiders(basis, max_n, lambda p, _mask: out[len(p)].add(p), node_budget=node_budget)
     return out
 
 
@@ -324,16 +336,14 @@ def avoider_masks(
     its maximum is a key and slot ``w.index(n)`` is live in that key's mask,
     so |Av_n| is the number of live slots over the keys of length n - 1.
     Length max_n itself is never built."""
-    if max_n < 0:
-        raise UsageError(f"max_n must be >= 0, got {max_n}")
     masks: dict[Perm, int] = {}
 
     def record(p: Perm, dead: int) -> bool:
         masks[p] = dead
         return len(p) == max_n - 1
 
-    if max_n:
-        _walk(basis, max_n, _NodeBudget(_limit(node_budget)), record)
+    if max_n:  # a negative max_n is refused by the walk
+        walk_avoiders(basis, max_n, record, node_budget=node_budget)
     return masks
 
 

@@ -17,8 +17,15 @@ length r ends there and one of length k-r+1 starts there):
   of H is a proper avoidance class of its own.
 
 ``map_classes`` says which classes each map connects; the ``validate``
-checks, map certification and basis discovery all read it. G (both ways), H
-and ``naive_reverse_H`` share one window-reversal body (``_window_map``).
+checks, map certification and basis discovery all read it.
+
+Each construction has one body, an output-only kernel that checks nothing
+and builds no record: ``_f_kernel`` returns F's output and its landing map,
+``_finv_kernel`` Finv's output, and ``_window_kernel`` the output and the
+reversal windows of G (both ways), H, ``naive_reverse_H`` and, through
+reverse-complement, ``map_H_conjugate``. The public maps wrap a kernel in
+the class checks (``_enter``) and the ``MapResult`` (``_result``);
+certification and basis discovery call the kernels directly.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -221,15 +228,11 @@ def _capable(up: tuple[int, ...], down: tuple[int, ...], k: int, r: int, skip=()
     return out
 
 
-def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
-    """Compute B (rank-(i+1)-capable), A (rank-i-capable outside B, or the
-    start anchor for i = 0), C (rank-(i+2)-capable outside B, or the end
-    anchor for i = k-1), and the landing map f."""
-    _enter("F", p, k, i, validate)
-    up, down = lis_tables(p)
-    b = tuple(_capable(up, down, k, i + 1))
-    a = None if i == 0 else tuple(_capable(up, down, k, i, b))
-    c = None if i == k - 1 else tuple(_capable(up, down, k, i + 2, b))
+def _landing(p: Perm, k: int, i: int, up, down):
+    """B (the rank-(i+1)-capable positions), C (the rank-(i+2)-capable ones
+    outside B, None for the end anchor) and the landing map f of one F step."""
+    b = _capable(up, down, k, i + 1)
+    c = None if i == k - 1 else _capable(up, down, k, i + 2, b)
     f: list[tuple[int, int | None]] = []
     for t in b:
         landing = None  # stays None for the end anchor
@@ -242,8 +245,50 @@ def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
                 f"(k={k}, i={i}); input violates the step's guarantees"
             )
         f.append((t, landing))
+    return b, c, f
+
+
+def _move(p: Perm, f) -> Perm:
+    """Move every B entry of the landing map ``f`` directly before its
+    landing entry (end anchor: to the end), ties in increasing order;
+    everything else keeps its order."""
+    moving = set()
+    pending: dict[int | None, list[int]] = defaultdict(list)  # None: the end anchor
+    for b, c in f:
+        moving.add(b)
+        pending[c].append(p[b])
+    out: list[int] = []
+    for t in range(len(p)):
+        if t in moving:
+            continue
+        if t in pending:
+            out.extend(sorted(pending[t]))
+        out.append(p[t])
+    out.extend(sorted(pending[None]))
+    return tuple(out)
+
+
+def _f_kernel(p: Perm, k: int, i: int):
+    """F with no checks and no record: (output, landing map)."""
+    _, _, f = _landing(p, k, i, *lis_tables(p))
+    return _move(p, f), f
+
+
+def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
+    """Compute B (rank-(i+1)-capable), A (rank-i-capable outside B, or the
+    start anchor for i = 0), C (rank-(i+2)-capable outside B, or the end
+    anchor for i = k-1), and the landing map f."""
+    _enter("F", p, k, i, validate)
+    up, down = lis_tables(p)
+    b, c, f = _landing(p, k, i, up, down)
     return RoleSets(
-        perm=p, k=k, i=i, b_positions=b, a_positions=a, c_positions=c, f_map=tuple(f)
+        perm=p,
+        k=k,
+        i=i,
+        b_positions=tuple(b),
+        a_positions=None if i == 0 else tuple(_capable(up, down, k, i, b)),
+        c_positions=None if c is None else tuple(c),
+        f_map=tuple(f),
     )
 
 
@@ -251,33 +296,12 @@ def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     """Move every B entry directly before its landing entry (end anchor for
     i = k-1), ties in increasing order; everything else keeps its order."""
     roles = role_sets(p, k, i, validate)
-    pending: dict[int | None, list[int]] = defaultdict(list)  # None: the end anchor
-    for b, c in roles.f_map:
-        pending[c].append(p[b])
-    out: list[int] = []
-    for t in range(len(p)):
-        if t in roles.b_positions:
-            continue
-        if t in pending:
-            out.extend(sorted(pending[t]))
-        out.append(p[t])
-    out.extend(sorted(pending[None]))
     target = map_classes("F", k, i)[1] if validate else None
-    return _result("F", p, k, tuple(out), (("i", i),), target, roles=roles)
+    return _result("F", p, k, _move(p, roles.f_map), (("i", i),), target, roles=roles)
 
 
-def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
-    """Send every rank-(i+1)-capable entry of ``w`` back directly after its
-    partner A entry (to the very front for i = 0), ties in increasing order.
-
-    The partner is the leftmost A entry left of the moving entry with smaller
-    value; when several qualify, only the leftmost can be the original
-    neighbor, since any candidate further left would have qualified in the
-    preimage as well and collide with the uniqueness of joint (i, i+1) roles
-    there. With ``validate`` the reconstruction is confirmed by re-applying
-    the forward map.
-    """
-    target = _enter("Finv", w, k, i, validate)
+def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
+    """Finv with no checks and no record: the reconstructed preimage."""
     up, down = lis_tables(w)
     b = _capable(up, down, k, i + 1)
     a = _capable(up, down, k, i, b) if i else []
@@ -303,8 +327,23 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
         out.append(w[t])
         if t in attach:
             out.extend(sorted(attach[t]))
-    output = tuple(out)
-    if validate and map_F(output, k, i, validate=False).output != w:
+    return tuple(out)
+
+
+def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
+    """Send every rank-(i+1)-capable entry of ``w`` back directly after its
+    partner A entry (to the very front for i = 0), ties in increasing order.
+
+    The partner is the leftmost A entry left of the moving entry with smaller
+    value; when several qualify, only the leftmost can be the original
+    neighbor, since any candidate further left would have qualified in the
+    preimage as well and collide with the uniqueness of joint (i, i+1) roles
+    there. With ``validate`` the reconstruction is confirmed by re-applying
+    the forward map.
+    """
+    target = _enter("Finv", w, k, i, validate)
+    output = _finv_kernel(w, k, i)
+    if validate and _f_kernel(output, k, i)[0] != w:
         raise NotInImageError(
             f"{format_perm(w)} is not in the image of the step (k={k}, i={i}): "
             "reconstruction does not map back"
@@ -312,17 +351,15 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     return _result("Finv", w, k, output, (("i", i),), target)
 
 
-def _window_map(
-    name: str, p: Perm, k: int, rank: int, exclude_lower: bool, params: tuple, validate: bool
-) -> MapResult:
-    """Reverse the window [h(a), a) in front of every anchor a.
+def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
+    """Reverse the window [h(a), a) in front of every anchor a, with no
+    checks and no record: (output, windows).
 
     Anchors are the rank-capable entries, minus the (rank-1)-capable ones
     when ``exclude_lower``; h(a) is the leftmost smaller entry that can act
     as rank-1 toward the anchor. Windows must come out pairwise disjoint on
     class members; overlap means the input was outside the class.
     """
-    target = _enter(name, p, k, rank, validate)
     up, down = lis_tables(p)
     lower = _capable(up, down, k, rank - 1) if exclude_lower else ()
     anchors = _capable(up, down, k, rank, lower)
@@ -350,7 +387,17 @@ def _window_map(
     out = list(p)
     for s, e in windows:
         out[s:e] = reversed(out[s:e])
-    return _result(name, p, k, tuple(out), params, target, windows=tuple(windows))
+    return tuple(out), windows
+
+
+def _window_map(
+    name: str, p: Perm, k: int, rank: int, exclude_lower: bool, params: tuple, validate: bool
+) -> MapResult:
+    """The window reversal of ``_window_kernel`` as map ``name``, with its
+    checks and its record."""
+    target = _enter(name, p, k, rank, validate)
+    output, windows = _window_kernel(p, k, rank, exclude_lower)
+    return _result(name, p, k, output, params, target, windows=tuple(windows))
 
 
 def map_G(p: Perm, k: int, direction: str = "to_21", validate: bool = True) -> MapResult:
@@ -379,8 +426,8 @@ def map_H_conjugate(p: Perm, k: int, j: int, validate: bool = True) -> MapResult
     """The i = j+1 companion of ``map_H``: an injection from Av(M(k,j,j+1))
     into Av(M(k,j,j)), realized by conjugating H with reverse-complement."""
     target = _enter("Hrc", p, k, j, validate)
-    inner = map_H(reverse_complement(p), k, k + 2 - j, validate=False)
-    return _result("Hrc", p, k, reverse_complement(inner.output), (("j", j),), target)
+    inner, _ = _window_kernel(reverse_complement(p), k, k + 2 - j, False)
+    return _result("Hrc", p, k, reverse_complement(inner), (("j", j),), target)
 
 
 def naive_reverse_H(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:

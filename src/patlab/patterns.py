@@ -30,6 +30,7 @@ from .perms import Perm, check_perm, format_perm, identity, reverse_complement
 
 __all__ = [
     "MACRO_RE",
+    "MAX_UNDERLYING",
     "PatternBasis",
     "make_basis",
     "expand_distant",
@@ -39,6 +40,22 @@ __all__ = [
     "basis_union",
     "parse_class_expression",
 ]
+
+
+# The longest underlying pattern a distant pattern may have. Its expansion
+# holds k+1 patterns of length k+1, (k+1)^2 entries built before any node
+# budget applies, so a huge k (say --k 100000) would exhaust memory instead
+# of failing fast. Enumeration stops long before this length (the CLI caps
+# n at 12), so a longer pattern could only ever forbid nothing.
+MAX_UNDERLYING = 64
+
+
+def _check_underlying(k: int) -> None:
+    if k > MAX_UNDERLYING:
+        raise UsageError(
+            f"underlying pattern of length {k} is too long for a distant pattern "
+            f"(at most {MAX_UNDERLYING})"
+        )
 
 
 def _insert_value(q: Perm, pos0: int, v: int) -> Perm:
@@ -112,6 +129,7 @@ def expand_distant(
     >>> expand_distant((1, 2, 3), 3, removed=2).label
     '12[2]3'
     """
+    _check_underlying(len(underlying))
     q = check_perm(underlying)
     k = len(q)
     if k < 1:
@@ -138,6 +156,7 @@ def monotone_basis(k: int, j: int, i: int) -> PatternBasis:
         raise UsageError(f"j must be in 1..{k + 1}, got {j}")
     if not 1 <= i <= k + 1:
         raise UsageError(f"i must be in 1..{k + 1}, got {i}")
+    _check_underlying(k)
     return expand_distant(identity(k), j, i, label=f"M({k},{j},{i})")
 
 
@@ -145,6 +164,7 @@ def distant_monotone_basis(k: int, j: int) -> PatternBasis:
     """The expanded basis of D(k,j), labeled canonically."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
+    _check_underlying(k)
     return expand_distant(identity(k), j, label=f"D({k},{j})")
 
 

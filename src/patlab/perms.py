@@ -9,6 +9,7 @@ on them) speak 1-based values and positions, matching one-line notation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable
 
@@ -171,24 +172,29 @@ def direct_sum(p: Perm, q: Perm) -> Perm:
 def lis_tables(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(up, down): longest increasing run ending / starting at each index.
 
-    Both are inclusive of the index itself, computed by the O(n^2) dynamic
-    program (ample at desk scale).
+    Both are inclusive of the index itself, computed in the patience form,
+    one pass per direction: ``tails[r]`` is the least value that ends an
+    increasing run of length r + 1 so far, so the run ending at p[t] has
+    length ``bisect_left(tails, p[t]) + 1``. ``down`` is the same pass run
+    right to left on the complemented values n + 1 - p[t].
+
+    >>> lis_tables((2, 3, 1, 4))
+    ((1, 2, 1, 3), (3, 2, 2, 1))
     """
     n = len(p)
-    up = [1] * n
-    for t in range(n):
-        pt = p[t]
-        best = 0
-        for s in range(t):
-            if p[s] < pt and up[s] > best:
-                best = up[s]
-        up[t] = best + 1
-    down = [1] * n
-    for t in range(n - 1, -1, -1):
-        pt = p[t]
-        best = 0
-        for s in range(t + 1, n):
-            if p[s] > pt and down[s] > best:
-                best = down[s]
-        down[t] = best + 1
+    # n + 1 exceeds every value, so unfilled tails never count as smaller
+    tails = [n + 1] * n
+    up = []
+    for v in p:
+        r = bisect_left(tails, v)
+        tails[r] = v
+        up.append(r + 1)
+    tails = [n + 1] * n
+    down = []
+    for v in reversed(p):
+        v = n + 1 - v
+        r = bisect_left(tails, v)
+        tails[r] = v
+        down.append(r + 1)
+    down.reverse()
     return tuple(up), tuple(down)

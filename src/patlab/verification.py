@@ -20,9 +20,14 @@ from .enumeration import (
     avoids_basis,
     count_sequence,
     levels_avoiders,
+    walk_avoiders,
 )
 from .errors import UsageError, VerificationFailure
-from .maps import invert_F, map_classes, map_F, map_G, map_H
+from .maps import _f_kernel, _finv_kernel, _window_kernel, map_classes
+
+# Not called here since certification runs the kernels, but still imported:
+# the benchmark's tracer wraps these names on this module.
+from .maps import invert_F, map_F, map_G, map_H  # noqa: F401
 from .patterns import (
     PatternBasis,
     basis_union,
@@ -147,6 +152,27 @@ def _masked_member(w: Perm, masks: dict[Perm, int]) -> bool:
     return dead is not None and not dead >> s & 1
 
 
+def _add_bit(bits: dict[Perm, int], w: Perm) -> bool:
+    """Set the bit of nonempty ``w`` in ``bits``, keyed like ``avoider_masks``
+    by w without its maximum; False when it was set already."""
+    n = len(w)
+    s = w.index(n)
+    key = w[:s] + w[s + 1 :]
+    old = bits.get(key, 0)
+    bits[key] = old | 1 << s
+    return not old >> s & 1
+
+
+def _unpack(bits: dict[Perm, int], n: int):
+    """The permutations of length n whose bits are set in ``bits``."""
+    for key, live in bits.items():
+        while live:
+            low = live & -live
+            live ^= low
+            s = low.bit_length() - 1
+            yield key[:s] + (n,) + key[s:]
+
+
 def certify_map(
     map_name: str,
     k: int,
@@ -156,105 +182,129 @@ def certify_map(
     max_n: int,
     node_budget: int | None = None,
 ) -> CertifyReport:
-    """Enumerate the source class for every n <= max_n, push it through the
-    map, and check image membership, injectivity, surjectivity
+    """Push every member of the source class with length <= max_n through
+    the map, and check image membership, injectivity, surjectivity
     (by count), and the roundtrip where an inverse exists.
 
-    The target class is walked once, by ``avoider_masks``, up to length
+    The target class is walked first, by ``avoider_masks``, up to length
     max_n - 1 and never at max_n. An image is a member when the dead-slot
     mask of the image without its maximum has the slot of that maximum
     live; the target sizes are the live slots summed over those masks. An
     image the masks reject is confirmed by the pattern search
     ``avoids_basis`` before it is reported, as is the empty image, which
-    has no parent mask."""
+    has no parent mask.
+
+    The source is then streamed through ``walk_avoiders``, and the map's
+    output-only kernel runs at each member; no level of either class is
+    kept as a set. Each image sets one bit in a hit mask keyed the same way,
+    so a bit found set is a collision and the image sizes are popcounts.
+    The counterexample is the one a sorted sweep meets first: at the least
+    length with a violation, the least input whose image leaves the target
+    or fails the roundtrip (the image check first), else the collision."""
     if map_name == "F":
         if i is None or not 0 <= i <= k - 1:
             raise UsageError(f"map F needs a step index i in 0..{k - 1}")
         params: tuple = (("i", i),)
         expectation = "bijection"
-        forward = lambda p: map_F(p, k, i, validate=False)
-        backward = lambda w: invert_F(w, k, i, validate=False)
+        forward = lambda p: _f_kernel(p, k, i)
+        backward = lambda w: _finv_kernel(w, k, i)
     elif map_name == "G":
         params = (("direction", "to_21"),)
         expectation = "bijection"
-        forward = lambda p: map_G(p, k, "to_21", validate=False)
-        backward = lambda w: map_G(w, k, "to_22", validate=False)
+        # both directions of G are the same window reversal
+        forward = lambda p: _window_kernel(p, k, 2, True)
+        backward = lambda w: _window_kernel(w, k, 2, True)[0]
     elif map_name == "H":
         if j is None or not 2 <= j <= k:
             raise UsageError(f"map H needs j in 2..{k}")
         params = (("j", j),)
         expectation = "injection"
-        forward = lambda p: map_H(p, k, j, validate=False)
+        forward = lambda p: _window_kernel(p, k, j, False)
         backward = None
     else:
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
 
     source, target = map_classes(map_name, k, j if map_name == "H" else i)
-    src_levels = levels_avoiders(source, max_n, node_budget=node_budget)
     masks = avoider_masks(target, max_n, node_budget=node_budget)
     tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
     for p, dead in masks.items():
         n1 = len(p) + 1
         tgt_sizes[n1] += (~dead & ((1 << n1) - 1)).bit_count()
-    rows: list[dict] = []
-    counterexample: dict | None = None
-    findings: list[str] = []
-    certified = True
-    for n in range(max_n + 1):
-        members = sorted(src_levels[n])
-        images = []
-        image_ok = True
-        roundtrip_ok = None if backward is None else True
-        for p in members:
-            res = forward(p)
-            w = res.output
-            images.append(w)
-            if image_ok and not _masked_member(w, masks) and not avoids_basis(w, target):
-                image_ok = False
-                counterexample = counterexample or {
+    hits: dict[Perm, int] = {}
+    escaped = [False] * (max_n + 1)
+    unrecovered = [False] * (max_n + 1)
+    collided = [False] * (max_n + 1)
+    least: list = [None] * (max_n + 1)  # per length: (input, counterexample)
+    landings: list[tuple[Perm, str]] = []
+
+    def visit(p: Perm, _mask) -> None:
+        n = len(p)
+        w, extra = forward(p)
+        bad = None
+        if not _masked_member(w, masks) and not avoids_basis(w, target):
+            escaped[n] = True
+            bad = {
+                "n": n,
+                "reason": "image leaves the target class",
+                "input": format_perm(p),
+                "output": format_perm(w),
+            }
+        if map_name == "F":
+            for b, c in extra:
+                if c is not None and c < b:
+                    landings.append(
+                        (p, f"landing entry left of mover: value {p[b]} in {format_perm(p)}")
+                    )
+        if backward is not None:
+            back = backward(w)
+            if back != p:
+                unrecovered[n] = True
+                bad = bad or {
                     "n": n,
-                    "reason": "image leaves the target class",
+                    "reason": "roundtrip failed",
                     "input": format_perm(p),
                     "output": format_perm(w),
+                    "recovered": format_perm(back),
                 }
-            if res.roles is not None:
-                for b, c in res.roles.f_map:
-                    if c is not None and c < b:
-                        findings.append(
-                            f"landing entry left of mover: value {p[b]} in {format_perm(p)}"
-                        )
-            if backward is not None:
-                back = backward(w).output
-                if back != p:
-                    roundtrip_ok = False
-                    counterexample = counterexample or {
-                        "n": n,
-                        "reason": "roundtrip failed",
-                        "input": format_perm(p),
-                        "output": format_perm(w),
-                        "recovered": format_perm(back),
-                    }
-        distinct = len(set(images))
-        injective = distinct == len(images)
-        if not injective and counterexample is None:
+        if bad is not None and (least[n] is None or p < least[n][0]):
+            least[n] = (p, bad)
+        if n and not _add_bit(hits, w):
+            collided[n] = True
+
+    src_sizes = walk_avoiders(source, max_n, visit, node_budget=node_budget)
+    if map_name == "G" and k < 2:
+        # map_G's own guard, which fires at its first application: after
+        # the class checks and the budget of both walks
+        raise UsageError(f"k must be >= 2 for this map, got {k}")
+    image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
+    for key, bits in hits.items():
+        image_sizes[len(key) + 1] += bits.bit_count()
+    rows: list[dict] = []
+    counterexample: dict | None = None
+    certified = True
+    for n in range(max_n + 1):
+        if counterexample is None and least[n] is not None:
+            counterexample = least[n][1]
+        elif counterexample is None and collided[n]:
             counterexample = {"n": n, "reason": "two inputs share an output"}
-        surjective = distinct == tgt_sizes[n]
+        surjective = image_sizes[n] == tgt_sizes[n]
         rows.append(
             {
                 "n": n,
-                "source_size": len(members),
+                "source_size": src_sizes[n],
                 "target_size": tgt_sizes[n],
-                "image_size": distinct,
-                "image_in_target": image_ok,
-                "injective": injective,
+                "image_size": image_sizes[n],
+                "image_in_target": not escaped[n],
+                "injective": not collided[n],
                 "surjective": surjective,
-                "roundtrip_ok": roundtrip_ok,
+                "roundtrip_ok": None if backward is None else not unrecovered[n],
             }
         )
-        ok = image_ok and injective and (roundtrip_ok in (True, None))
+        ok = not (escaped[n] or collided[n] or unrecovered[n])
         if expectation == "bijection":
             ok = ok and surjective
         certified = certified and ok
+    landings.sort(key=lambda item: (len(item[0]), item[0]))
     return CertifyReport(
         map_name=map_name,
         k=k,
@@ -264,7 +314,7 @@ def certify_map(
         rows=tuple(rows),
         certified=certified,
         counterexample=counterexample,
-        findings=tuple(findings),
+        findings=tuple(message for _, message in landings),
     )
 
 
@@ -341,13 +391,18 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     closed, and collect its minimal non-members: permutations outside the
     image whose every single-entry deletion lies inside.
 
+    The source is streamed through ``walk_avoiders`` and H's output-only
+    kernel; image[n] is kept as live masks, {w without its maximum: the
+    slots of that maximum}, like ``avoider_masks`` with the bits inverted.
     No sweep over all n! permutations: a minimal non-member q of length n
     has q without its maximum in image[n-1], so the candidates are the n
-    insertions of a new maximum into each member of image[n-1], about
-    |image[n-1]| * n of them. A candidate is closed when its other
-    deletions (drop a value, lower the values above it) lie in image[n-1].
-    A closed non-member is minimal; the image is deletion closed iff its
-    closed members number |image[n]|.
+    insertions of a new maximum into each parent in image[n-1]. Deleting
+    the parent's entry x (at position pos) from such a candidate leaves an
+    insertion into the parent without x, so one key lookup in image[n-1]
+    gives, lifted past pos, the slots whose deletion of x stays inside. The
+    AND of those over x are the closed slots: closed members are counted by
+    ``closed & live``, and ``closed & ~live`` are minimal non-members. The
+    image is deletion closed iff its closed members number |image[n]|.
 
     A deletion-closure violation is a hard finding (it would contradict the
     image being an avoidance class) and raises VerificationFailure naming
@@ -357,26 +412,43 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
         raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
     if max_len > 9:
         raise UsageError(f"max_len is capped at 9, got {max_len}")
-    src_levels = levels_avoiders(map_classes("H", k, j)[0], max_len, node_budget=node_budget)
-    image: dict[int, frozenset[Perm]] = {}
+    image: list[dict[Perm, int]] = [{} for _ in range(max_len + 1)]
+
+    def visit(p: Perm, _mask) -> None:
+        w = _window_kernel(p, k, j, False)[0]
+        if w:  # H maps () to itself
+            _add_bit(image[len(w)], w)
+
+    sizes = walk_avoiders(map_classes("H", k, j)[0], max_len, visit, node_budget=node_budget)
+    for n in range(1, max_len + 1):
+        sizes[n] = sum(live.bit_count() for live in image[n].values())
+    def members(n: int):
+        return _unpack(image[n], n) if n else [()][: sizes[0]]
+
     minimal: list[Perm] = []
-    for n in range(max_len + 1):
-        image[n] = frozenset(map_H(p, k, j, validate=False).output for p in src_levels[n])
-        if not n:
-            continue  # H maps () to itself, so length 0 has no non-member
-        prev = image[n - 1]
-        closed = 0
-        for parent in prev:
-            for s in range(n):
-                q = parent[:s] + (n,) + parent[s:]
-                if all(tuple([v - (v > x) for v in q if v != x]) in prev for x in range(1, n)):
-                    if q in image[n]:
-                        closed += 1
-                    else:
-                        minimal.append(q)
-        if closed != len(image[n]):
-            w = min(w for w in image[n] if not deletions(w) <= prev)
-            d = min(deletions(w) - prev)
+    for n in range(1, max_len + 1):
+        prev, here = image[n - 1], image[n]
+        closed_members = 0
+        for parent in members(n - 1):
+            closed = (1 << n) - 1
+            for pos, x in enumerate(parent):
+                lower = prev.get(tuple([v - (v > x) for v in parent if v != x]), 0)
+                # the lift of _child_mask: slots <= pos stay, slots >= pos move up
+                closed &= (lower & ((1 << (pos + 1)) - 1)) | ((lower >> pos) << (pos + 1))
+                if not closed:
+                    break
+            live = here.get(parent, 0)
+            closed_members += (closed & live).bit_count()
+            outside = closed & ~live
+            while outside:
+                low = outside & -outside
+                outside ^= low
+                s = low.bit_length() - 1
+                minimal.append(parent[:s] + (n,) + parent[s:])
+        if closed_members != sizes[n]:
+            inside = set(members(n - 1))
+            w = min(w for w in members(n) if not deletions(w) <= inside)
+            d = min(deletions(w) - inside)
             raise VerificationFailure(
                 f"image of H (k={k}, j={j}) is not deletion closed at "
                 f"n={n}: {format_perm(w)} drops to the non-member "
@@ -399,7 +471,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
         discovered=discovered,
         predicted=predicted,
         matches_predicted=matches,
-        image_sizes=tuple((n, len(image[n])) for n in range(max_len + 1)),
+        image_sizes=tuple((n, sizes[n]) for n in range(max_len + 1)),
     )
 
 
@@ -519,8 +591,8 @@ def sandwich_check(
     Raises VerificationFailure with a witness on any violation."""
     if not 2 <= j <= k:
         raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
+    mid = distant_monotone_basis(k, j)  # refuses a huge k before 12...k is built
     lower = make_basis([identity(k)], label=format_perm(identity(k)))
-    mid = distant_monotone_basis(k, j)
     upper = monotone_basis(k, j, j)
     lo_seq = count_sequence(max_n, lower, node_budget=node_budget)
     mid_seq = count_sequence(max_n, mid, node_budget=node_budget)

@@ -78,6 +78,21 @@ def oracle_rank_marks(p, k):
     return marks
 
 
+def oracle_lis_tables(p):
+    """(up, down) by the O(n^2) dynamic program: the longest increasing run
+    ending at t extends the longest one ending at a smaller earlier value,
+    and the run starting at t the longest one starting at a larger later
+    value."""
+    n = len(p)
+    up = [1] * n
+    for t in range(n):
+        up[t] = 1 + max((up[s] for s in range(t) if p[s] < p[t]), default=0)
+    down = [1] * n
+    for t in range(n - 1, -1, -1):
+        down[t] = 1 + max((down[s] for s in range(t + 1, n) if p[s] > p[t]), default=0)
+    return tuple(up), tuple(down)
+
+
 def oracle_discover_basis(k, j, max_len):
     """The image of H by length and its minimal non-members, found the slow
     way: every permutation of each length is tested, and its deletions come

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 
 import patlab
 from patlab.cli import main
+from patlab.patterns import MAX_UNDERLYING
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
 SRC = pathlib.Path(patlab.__file__).resolve().parent.parent
@@ -305,6 +307,22 @@ class TestUsageErrors:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--class", "M(100000,1,1)", "--n", "3"],
+        ["count", "--class", "D(100000,2)", "--n", "3"],
+        ["map", "--map", "G", "--k", "100000", "--perm", "12"],
+        ["certify", "--map", "G", "--k", "100000", "--n", "3"],
+        ["sandwich", "--k", str(10**30), "--j", "3", "--n", "3"],
+    ], ids=["M-macro", "D-macro", "map", "certify", "sandwich"])
+    def test_huge_k_is_refused_before_any_pattern_is_built(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: underlying pattern of length ")
+        assert f"too long for a distant pattern (at most {MAX_UNDERLYING})" in err
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -328,8 +346,11 @@ _HUGE = st.integers(10**6, 10**40) | st.integers(-(10**40), -(10**6))
 # mostly in range, so that many examples get past the usage checks
 _N = st.one_of(st.integers(0, 6), st.integers(0, 6), st.integers(-3, 12), _HUGE).map(str)
 _IJ = st.one_of(st.integers(0, 4), st.integers(2, 4), st.integers(-3, 9), _HUGE).map(str)
-# k stays small: a valid huge k builds a basis of about k^2 entries up front.
-_K = st.one_of(st.integers(2, 4), st.integers(2, 4), st.integers(-2, 6)).map(str)
+# k runs past the cap on distant patterns (MAX_UNDERLYING) to huge values,
+# which must be refused before any pattern is built.
+_K = st.one_of(
+    st.integers(2, 4), st.integers(2, 4), st.integers(-2, MAX_UNDERLYING + 2), _HUGE
+).map(str)
 # --budget is at most PATLAB_BUDGET, so no example outgrows it.
 _BUDGET = st.one_of(
     st.integers(1000, 3000), st.integers(-3, 3000), st.integers(-(10**40), -(10**6))

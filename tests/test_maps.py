@@ -1,6 +1,8 @@
 """The rearrangement maps: reference vectors, exhaustive roundtrips on
 enumerated classes, and the window/role invariants they rely on."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -8,6 +10,7 @@ import hypothesis.strategies as st
 from conftest import capable_values, monotone_counts, monotone_members, perms
 from patlab import (
     DomainError,
+    PatlabError,
     UsageError,
     avoids_basis,
     contains,
@@ -23,7 +26,7 @@ from patlab import (
     reverse_complement,
     role_sets,
 )
-from patlab.maps import map_classes
+from patlab.maps import _f_kernel, _finv_kernel, _window_kernel, map_classes
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
@@ -365,3 +368,71 @@ class TestMapClasses:
             map_classes("K", 4, 1)
         with pytest.raises(UsageError):
             map_classes("F", 4)
+
+
+# Each map by its MapResult.map_name: the output-only kernel that
+# certification runs, and the public map without its class checks.
+KERNELS = {
+    "F": (lambda p, k, x: _f_kernel(p, k, x)[0], lambda p, k, x: map_F(p, k, x, False)),
+    "Finv": (_finv_kernel, lambda p, k, x: invert_F(p, k, x, False)),
+    "G": (lambda p, k, x: _window_kernel(p, k, 2, True)[0],
+          lambda p, k, x: map_G(p, k, "to_21", False)),
+    "Ginv": (lambda p, k, x: _window_kernel(p, k, 2, True)[0],
+             lambda p, k, x: map_G(p, k, "to_22", False)),
+    "H": (lambda p, k, x: _window_kernel(p, k, x, False)[0],
+          lambda p, k, x: map_H(p, k, x, False)),
+    "HnaiveInv": (lambda p, k, x: _window_kernel(p, k, x, True)[0],
+                  lambda p, k, x: naive_reverse_H(p, k, x, False)),
+}
+
+
+def _outcome(apply, p, k, x):
+    """The output of one application, or its error class and message."""
+    try:
+        out = apply(p, k, x)
+    except PatlabError as exc:
+        return type(exc), str(exc)
+    return out if isinstance(out, tuple) else out.output
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", list(KERNELS))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_kernel_output_is_the_public_output(self, name, k):
+        kernel, public = KERNELS[name]
+        for x in VALIDATED[name][1](k):
+            source, _ = map_classes(name, k, x)
+            for members in levels_avoiders(source, 7).values():
+                for p in sorted(members):
+                    res = public(p, k, x)
+                    assert kernel(p, k, x) == res.output, (x, p)
+                    if name == "F":
+                        assert _f_kernel(p, k, x)[1] == list(role_sets(p, k, x, False).f_map)
+                    elif name != "Finv":
+                        rank, lower = (2, True) if name[0] == "G" else (x, name != "H")
+                        assert tuple(_window_kernel(p, k, rank, lower)[1]) == res.windows
+
+    def test_conjugate_runs_the_window_kernel(self):
+        k, j = 4, 3
+        for members in monotone_members(k, j, j + 1, 6).values():
+            for p in sorted(members):
+                inner = _window_kernel(reverse_complement(p), k, k + 2 - j, False)[0]
+                assert map_H_conjugate(p, k, j).output == reverse_complement(inner)
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_kernel_fails_like_the_public_map_outside_the_class(self, name, k):
+        kernel, public = KERNELS[name]
+        errors = 0
+        for x in VALIDATED[name][1](k):
+            source, _ = map_classes(name, k, x)
+            for n in range(7):
+                for p in permutations(range(1, n + 1)):
+                    if avoids_basis(p, source):
+                        continue
+                    expected = _outcome(public, p, k, x)
+                    assert _outcome(kernel, p, k, x) == expected, (x, p)
+                    errors += isinstance(expected[0], type)
+        # the window maps refuse some non-members; F's and Finv's error
+        # branches fire on no permutation of length <= 8
+        assert errors or name in ("F", "Finv")

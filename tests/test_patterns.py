@@ -18,6 +18,7 @@ from patlab import (
     monotone_basis,
     parse_class_expression,
 )
+from patlab.patterns import MAX_UNDERLYING
 
 
 def as_strs(basis):
@@ -62,6 +63,23 @@ class TestExpandDistant:
             expand_distant((), 1)
         with pytest.raises(UsageError):
             expand_distant((1, 1), 2)
+
+    def test_underlying_length_capped(self):
+        longest = tuple(range(1, MAX_UNDERLYING + 1))
+        assert len(expand_distant(longest, 2)) == MAX_UNDERLYING + 1
+        assert len(monotone_basis(MAX_UNDERLYING, 2, 2)) == MAX_UNDERLYING
+        assert len(distant_monotone_basis(MAX_UNDERLYING, 2)) == MAX_UNDERLYING + 1
+        spaced = " ".join(map(str, longest)) + f" {MAX_UNDERLYING + 1} #"
+        refused = [
+            lambda: expand_distant(longest + (MAX_UNDERLYING + 1,), 2),
+            lambda: monotone_basis(MAX_UNDERLYING + 1, 2, 2),
+            lambda: distant_monotone_basis(10**40, 2),
+            lambda: parse_class_expression(f"M({MAX_UNDERLYING + 1},1,1)"),
+            lambda: parse_class_expression(spaced),
+        ]
+        for build in refused:
+            with pytest.raises(UsageError, match="too long for a distant pattern"):
+                build()
 
     def test_default_label_is_pattern_text(self):
         assert expand_distant((1, 2, 3, 4), 3).label == "12#34"

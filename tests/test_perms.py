@@ -10,6 +10,7 @@ from conftest import (
     capable_values,
     oracle_avoids_basis,
     oracle_contains,
+    oracle_lis_tables,
     oracle_pattern_of,
     oracle_rank_marks,
     perms,
@@ -176,6 +177,12 @@ class TestRankCapability:
         for t in range(len(p)):
             for r in range(1, k + 1):
                 assert (up[t] >= r and down[t] >= k - r + 1) == ((t, r) in marks)
+
+
+def test_lis_tables_match_the_quadratic_program():
+    for n in range(9):
+        for p in permutations(range(1, n + 1)):
+            assert lis_tables(p) == oracle_lis_tables(p), p
 
 
 class TestDeletions:

@@ -1,7 +1,6 @@
 """Wilf reports, certification, basis discovery, growth, sandwich, survey."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +30,7 @@ from patlab import (
     survey_almost_distant,
     verify_wilf,
 )
+from patlab.maps import _window_kernel
 
 # (map, k, params) for every map and parameter at k = 3 and 4
 CERTIFY_CASES = (
@@ -83,20 +83,31 @@ def oracle_certify_rows(map_name, k, max_n, i=None, j=None):
     return rows
 
 
-def _identity_map(p, *args, **kwargs):
-    return SimpleNamespace(output=p, roles=None)
+# Broken kernels for TestCertifyFailures, with the signatures of
+# maps._f_kernel (p, k, i) and maps._window_kernel (p, k, rank, exclude_lower).
 
 
-def _constant_map(p, *args, **kwargs):
+def _identity_map(p, *args):
+    return p, ()
+
+
+def _constant_map(p, *args):
     # every input of length n goes to n...21, which avoids every M(k,j,i)
-    return SimpleNamespace(output=tuple(range(len(p), 0, -1)), roles=None)
+    return tuple(range(len(p), 0, -1)), ()
 
 
-def _G_without_inverse(p, k, direction="to_21", validate=True):
-    # G itself, but "to_22" returns its input instead of inverting G
-    if direction == "to_21":
-        return map_G(p, k, direction, validate=validate)
-    return SimpleNamespace(output=p, roles=None)
+class _G_without_inverse:
+    """G's window kernel on forward calls, the identity on backward calls.
+    certify_map runs G's kernel twice per input, forward and then backward."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, p, k, rank, exclude_lower):
+        self.calls += 1
+        if self.calls % 2:
+            return _window_kernel(p, k, rank, exclude_lower)
+        return p, ()
 
 
 class TestVerifyWilf:
@@ -184,22 +195,22 @@ class TestCertifyFailures:
     """Broken maps patched into the module must fail with an exact witness."""
 
     @pytest.mark.parametrize("attr, broken, args, witness", [
-        ("map_F", _identity_map, ("F", 3, {"i": 0}), {
+        ("_f_kernel", _identity_map, ("F", 3, {"i": 0}), {
             "n": 4, "reason": "image leaves the target class",
             "input": "1324", "output": "1324",
         }),
-        ("map_H", _identity_map, ("H", 4, {"j": 3}), {
+        ("_window_kernel", _identity_map, ("H", 4, {"j": 3}), {
             "n": 5, "reason": "image leaves the target class",
             "input": "13245", "output": "13245",
         }),
-        ("map_H", _constant_map, ("H", 4, {"j": 3}), {
+        ("_window_kernel", _constant_map, ("H", 4, {"j": 3}), {
             "n": 2, "reason": "two inputs share an output",
         }),
-        ("map_G", _constant_map, ("G", 3, {}), {
+        ("_window_kernel", _constant_map, ("G", 3, {}), {
             "n": 2, "reason": "roundtrip failed",
             "input": "12", "output": "21", "recovered": "21",
         }),
-        ("map_G", _G_without_inverse, ("G", 3, {}), {
+        ("_window_kernel", _G_without_inverse(), ("G", 3, {}), {
             "n": 4, "reason": "roundtrip failed",
             "input": "1234", "output": "2134", "recovered": "2134",
         }),
@@ -216,6 +227,59 @@ class TestCertifyFailures:
             _, target = source_and_target(map_name, k, **params)
             assert not oracle_avoids_basis(parse_perm(witness["output"]), target.patterns)
 
+    def test_image_failure_named_before_roundtrip_of_the_same_input(self, monkeypatch):
+        # with F the identity, 1324 is the least input whose image escapes
+        # (see F-identity); its roundtrip fails too, and the image is named
+        monkeypatch.setattr(verification, "_f_kernel", _identity_map)
+        monkeypatch.setattr(
+            verification, "_finv_kernel", lambda w, k, i: (4, 3, 2, 1) if w == (1, 3, 2, 4) else w
+        )
+        report = certify_map("F", 3, i=0, max_n=5)
+        assert report.counterexample == {
+            "n": 4, "reason": "image leaves the target class", "input": "1324", "output": "1324",
+        }
+        assert [r["roundtrip_ok"] for r in report.rows] == [True] * 4 + [False, True]
+
+    def test_collision_across_subtrees(self, monkeypatch):
+        # 213 (under 21) takes the image of 132 (under 12); the tree visits
+        # them far apart, and the hit masks still see the shared output
+        def broken_H(p, k, rank, exclude_lower):
+            return _window_kernel((1, 3, 2) if p == (2, 1, 3) else p, k, rank, exclude_lower)
+
+        monkeypatch.setattr(verification, "_window_kernel", broken_H)
+        report = certify_map("H", 4, j=3, max_n=5)
+        assert report.counterexample == {"n": 3, "reason": "two inputs share an output"}
+        rows = {r["n"]: r for r in report.rows}
+        assert not rows[3]["injective"]
+        assert rows[3]["image_size"] == rows[3]["source_size"] - 1
+        assert all(rows[n]["injective"] for n in (0, 1, 2, 4, 5))
+
+    def test_least_escape_wins_over_tree_order(self, monkeypatch):
+        # Av(M(2,2,1)) at n=3 is {213, 231, 312, 321}, visited in tree order
+        # 321, 231, 213, 312; both 231 and 213 are sent outside Av(M(2,2,2)),
+        # and the named input is the least, 213, not the first visited
+        escapes = {(2, 3, 1): (1, 3, 2), (2, 1, 3): (2, 1, 3)}
+
+        def broken_H(p, k, rank, exclude_lower):
+            if p in escapes:
+                return escapes[p], ()
+            return _window_kernel(p, k, rank, exclude_lower)
+
+        monkeypatch.setattr(verification, "_window_kernel", broken_H)
+        visited = []
+        walk = verification.walk_avoiders
+
+        def logged_walk(basis, max_n, emit, **kwargs):
+            return walk(basis, max_n, lambda p, m: visited.append(p) or emit(p, m), **kwargs)
+
+        monkeypatch.setattr(verification, "walk_avoiders", logged_walk)
+        report = certify_map("H", 2, j=2, max_n=4)
+        assert [p for p in visited if len(p) == 3] == [(3, 2, 1), (2, 3, 1), (2, 1, 3), (3, 1, 2)]
+        assert report.counterexample == {
+            "n": 3, "reason": "image leaves the target class", "input": "213", "output": "213",
+        }
+        assert [r["image_in_target"] for r in report.rows] == [True, True, True, False, True]
+
     @pytest.mark.parametrize("swap, message, witness", [
         # 21 leaves the image; 132 is the least member that drops to it
         ({(2, 1): (1, 2)}, "132 drops to the non-member 21", (1, 3, 2)),
@@ -226,10 +290,10 @@ class TestCertifyFailures:
          "1243 drops to the non-member 123", (1, 2, 4, 3)),
     ])
     def test_closure_failure_names_the_least_witness(self, monkeypatch, swap, message, witness):
-        def broken_H(p, k, j, validate=True):
-            return SimpleNamespace(output=swap.get(p, p), roles=None)
+        def broken_H(p, k, rank, exclude_lower):
+            return swap.get(p, p), ()
 
-        monkeypatch.setattr(verification, "map_H", broken_H)
+        monkeypatch.setattr(verification, "_window_kernel", broken_H)
         with pytest.raises(VerificationFailure) as err:
             discover_basis(3, 2, 5)
         n = len(witness)
