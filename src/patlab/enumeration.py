@@ -23,20 +23,25 @@ Counting mode never materializes permutations; ``walk_avoiders`` hands
 every avoider and its mask to a callback, ``levels_avoiders`` returns the
 avoiders of every length as sets, and ``avoider_masks`` the masks of every
 avoider below the last length, which answer membership at the last length
-by one bit each. The traversal may fan out subtrees to
-forked workers for counting; workers share nothing but a monotone
-node-budget counter, and per-depth counts are summed, so parallel and
-sequential runs agree exactly.
+by one bit each. Parallel counting is a fork-join: the subtrees cut at a
+fixed depth are dealt in strided shares, the parent counts one share, and
+each other share goes to a forked child that sends its counts by length
+back through its own pipe. They share nothing else but a monotone
+node-budget counter, and the counts are summed, so parallel and sequential
+runs agree exactly. A dead worker fails the count; it never counts as zero.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 from dataclasses import dataclass
+from itertools import permutations
+from typing import BinaryIO
 
-from .errors import BudgetExceededError, UsageError
+from .errors import BudgetExceededError, InternalCheckError, UsageError
 from .patterns import PatternBasis
 from .perms import Perm, _bound_refs, contains
 
@@ -59,6 +64,7 @@ BRUTE_FORCE_CAP = 9
 _PARALLEL_SPLIT_DEPTH = 6
 _PARALLEL_MIN_N = 8
 _BUDGET_BATCH = 4096
+_EXHAUSTED = b"budget\n"  # a child's answer when the shared budget ran out
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,8 @@ def _budget_exhausted(limit: int) -> BudgetExceededError:
 class _NodeBudget:
     __slots__ = ("remaining", "limit")
 
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.limit = limit
+    def __init__(self, node_budget: int | None):
+        self.remaining = self.limit = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
 
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
@@ -131,10 +136,6 @@ class _SharedBudget:
             self.pending = 0
             if self.shared.value > self.limit:
                 raise _budget_exhausted(self.limit)
-
-
-def _limit(node_budget: int | None) -> int:
-    return DEFAULT_NODE_BUDGET if node_budget is None else node_budget
 
 
 # -- the generating-tree kernel ---------------------------------------------
@@ -292,6 +293,8 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> 
 
 def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:
     """Run the kernel from the root (); counts of avoiders by length."""
+    if max_n < 0:
+        raise UsageError(f"max_n must be >= 0, got {max_n}")
     counts = [0] * (max_n + 1)
     if any(len(q) == 0 for q in basis.patterns):
         return counts
@@ -313,9 +316,7 @@ def walk_avoiders(
     tree order (each parent before its children), with p's dead-slot mask
     (None at length max_n). A true return skips p's descendants. Returns
     the number of avoiders visited at each length."""
-    if max_n < 0:
-        raise UsageError(f"max_n must be >= 0, got {max_n}")
-    return _walk(basis, max_n, _NodeBudget(_limit(node_budget)), emit)
+    return _walk(basis, max_n, _NodeBudget(node_budget), emit)
 
 
 def levels_avoiders(
@@ -348,71 +349,61 @@ def avoider_masks(
 
 
 def count_sequence(
-    max_n: int,
-    basis: PatternBasis,
-    *,
-    parallel: bool = False,
-    node_budget: int | None = None,
+    max_n: int, basis: PatternBasis, *, parallel: bool = False, node_budget: int | None = None
 ) -> CountSequence:
     """Counts of Av_n(Q) for n = 0..max_n, computed without materializing
     permutations; deterministic regardless of the parallel flag."""
-    if max_n < 0:
-        raise UsageError(f"max_n must be >= 0, got {max_n}")
-    limit = _limit(node_budget)
-    if parallel and max_n >= _PARALLEL_MIN_N and _fork_available():
-        counts = _count_parallel(basis, max_n, limit)
+    if parallel and max_n >= _PARALLEL_MIN_N and hasattr(os, "fork"):
+        counts = _count_parallel(basis, max_n, _NodeBudget(node_budget))
     else:
-        counts = _walk(basis, max_n, _NodeBudget(limit))
-    return CountSequence(
-        basis_label=basis.label,
-        counts=tuple((n, counts[n]) for n in range(max_n + 1)),
-        method="pruned_tree",
-    )
+        counts = _walk(basis, max_n, _NodeBudget(node_budget))
+    return CountSequence(basis.label, tuple(enumerate(counts)), "pruned_tree")
 
 
 # -- parallel counting ------------------------------------------------------
 
-_worker_cfg: dict = {}
-
-
-def _fork_available() -> bool:
-    if os.name != "posix":
-        return False
-    try:
-        multiprocessing.get_context("fork")
-        return True
-    except ValueError:
-        return False
-
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _init_count_worker(patterns, max_n, shared, limit):
-    _worker_cfg["table"] = _kill_table(patterns)
-    _worker_cfg["max_n"] = max_n
-    _worker_cfg["shared"] = shared
-    _worker_cfg["limit"] = limit
-
-
-def _count_subtree(job: tuple[Perm, int]) -> list[int]:
-    """Count strict descendants of a (root, dead-slot mask) pair by depth
-    (worker side)."""
-    root, dead = job
-    max_n = _worker_cfg["max_n"]
-    counts = [0] * (max_n + 1)
-    budget = _SharedBudget(_worker_cfg["shared"], _worker_cfg["limit"])
-    _grow(root, dead, _worker_cfg["table"], max_n, counts, budget, None)
+def _count_share(roots, table, max_n: int, counts: list, budget) -> None:
+    """Add the strict descendants of each (root, mask) pair to ``counts``."""
+    for root, dead in roots:
+        _grow(root, dead, table, max_n, counts, budget, None)
     budget.flush()
-    return counts
 
 
-def _count_parallel(basis: PatternBasis, max_n: int, limit: int) -> list[int]:
+def _fork_share(roots, table, max_n: int, budget) -> tuple[int, BinaryIO]:
+    """Fork a child that writes the count vector of ``roots``, or
+    ``_EXHAUSTED``, to a new pipe; (pid, read end). The child leaves by
+    ``os._exit``, never returning into the caller's stack or flushing stdio."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if not pid:
+            try:
+                counts = [0] * (max_n + 1)
+                try:
+                    _count_share(roots, table, max_n, counts, budget)
+                    data = " ".join(map(str, counts)).encode() + b"\n"
+                except BudgetExceededError:
+                    data = _EXHAUSTED
+                os.write(w, data)  # far below PIPE_BUF: whole, or read as a failure
+                os._exit(0)
+            finally:
+                os._exit(1)  # reached only by an exception
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, open(r, "rb")
+
+
+def _count_parallel(basis: PatternBasis, max_n: int, budget: _NodeBudget) -> list[int]:
     split = min(_PARALLEL_SPLIT_DEPTH, max_n - 1)
-    budget = _NodeBudget(limit)
+    limit = budget.limit
     roots: list[tuple[Perm, int]] = []
 
     def cut(p: Perm, dead: int) -> bool:
@@ -424,28 +415,39 @@ def _count_parallel(basis: PatternBasis, max_n: int, limit: int) -> list[int]:
     counts = _walk(basis, max_n, budget, cut)
     if not roots:
         return counts
-    ctx = multiprocessing.get_context("fork")
-    procs = min(_usable_cpus(), len(roots))
+    table = _kill_table(basis.patterns)
+    # share 0 is counted here, each other share by one forked child
+    shares = max(2, min(_usable_cpus(), len(roots)))
+    children: list[tuple[int, BinaryIO]] = []
     try:
-        shared = ctx.Value("q", limit - budget.remaining)
-        with ctx.Pool(
-            processes=procs,
-            initializer=_init_count_worker,
-            initargs=(basis.patterns, max_n, shared, limit),
-        ) as pool:
-            chunk = max(1, len(roots) // (4 * procs))
-            vectors = pool.map(_count_subtree, roots, chunksize=chunk)
-    except OSError as exc:
-        # sandboxed environments without process support: results are
-        # identical either way
-        print(
-            f"patlab: worker processes unavailable ({exc}); counted sequentially",
-            file=sys.stderr,
-        )
+        try:
+            shared = multiprocessing.get_context("fork").Value("q", limit - budget.remaining)
+            budget = _SharedBudget(shared, limit)
+            for w in range(1, shares):
+                children.append(_fork_share(roots[w::shares], table, max_n, budget))
+            _count_share(roots[::shares], table, max_n, counts, budget)
+            while children:
+                pid, pipe = children[0]
+                with pipe:
+                    data = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if code == 0 and data == _EXHAUSTED:
+                    raise _budget_exhausted(limit)
+                fields = data.split()
+                if code or not data.endswith(b"\n") or len(fields) != max_n + 1:
+                    raise InternalCheckError(
+                        f"counting worker {pid} exited with code {code} after {len(data)} bytes"
+                    )
+                counts = [c + int(f) for c, f in zip(counts, fields)]
+        finally:
+            for pid, pipe in children:  # on any exception, interrupts included
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    except OSError as exc:  # no process support (a sandbox): the counts are the same
+        sys.stderr.write(f"patlab: worker processes unavailable ({exc}); counted sequentially\n")
         return _walk(basis, max_n, _NodeBudget(limit))
-    for vec in vectors:
-        for n in range(split + 1, max_n + 1):
-            counts[n] += vec[n]
     return counts
 
 
@@ -461,10 +463,7 @@ def brute_force_avoiders(n: int, basis: PatternBasis) -> set[Perm]:
             f"brute force is capped at n={BRUTE_FORCE_CAP} (asked for {n}); "
             "use the generating-tree engine beyond that"
         )
-    from itertools import permutations as iter_perms
-
-    values = range(1, n + 1)
-    return {p for p in iter_perms(values) if avoids_basis(p, basis)}
+    return {p for p in permutations(range(1, n + 1)) if avoids_basis(p, basis)}
 
 
 def brute_force_counts(max_n: int, basis: PatternBasis) -> CountSequence:

@@ -152,13 +152,20 @@ def _masked_member(w: Perm, masks: dict[Perm, int]) -> bool:
     return dead is not None and not dead >> s & 1
 
 
-def _add_bit(bits: dict[Perm, int], w: Perm) -> bool:
+def _add_bit(bits: dict[Perm, int], w: Perm, beside: dict[Perm, int] | None = None) -> bool:
     """Set the bit of nonempty ``w`` in ``bits``, keyed like ``avoider_masks``
-    by w without its maximum; False when it was set already."""
+    by w without its maximum; False when it was set already. When that key
+    is a key of ``beside`` (an ``avoider_masks`` dict), the bit goes there
+    instead, above the key's len(w) dead-slot bits, so the key is not
+    stored twice."""
     n = len(w)
     s = w.index(n)
     key = w[:s] + w[s + 1 :]
-    old = bits.get(key, 0)
+    old = None if beside is None else beside.get(key)
+    if old is None:
+        old = bits.get(key, 0)
+    else:
+        bits, s = beside, s + n
     bits[key] = old | 1 << s
     return not old >> s & 1
 
@@ -196,8 +203,10 @@ def certify_map(
 
     The source is then streamed through ``walk_avoiders``, and the map's
     output-only kernel runs at each member; no level of either class is
-    kept as a set. Each image sets one bit in a hit mask keyed the same way,
-    so a bit found set is a collision and the image sizes are popcounts.
+    kept as a set. Each image sets one hit bit keyed the same way, above
+    the dead slots of its key in the target masks (or, for a key the target
+    lacks, in a side dict), so a bit found set is a collision and the image
+    sizes are popcounts.
     The counterexample is the one a sorted sweep meets first: at the least
     length with a violation, the least input whose image leaves the target
     or fails the roundtrip (the image check first), else the collision."""
@@ -230,7 +239,7 @@ def certify_map(
     for p, dead in masks.items():
         n1 = len(p) + 1
         tgt_sizes[n1] += (~dead & ((1 << n1) - 1)).bit_count()
-    hits: dict[Perm, int] = {}
+    hits: dict[Perm, int] = {}  # only images whose key is not in masks
     escaped = [False] * (max_n + 1)
     unrecovered = [False] * (max_n + 1)
     collided = [False] * (max_n + 1)
@@ -268,7 +277,7 @@ def certify_map(
                 }
         if bad is not None and (least[n] is None or p < least[n][0]):
             least[n] = (p, bad)
-        if n and not _add_bit(hits, w):
+        if n and not _add_bit(hits, w, masks):
             collided[n] = True
 
     src_sizes = walk_avoiders(source, max_n, visit, node_budget=node_budget)
@@ -277,6 +286,8 @@ def certify_map(
         # the class checks and the budget of both walks
         raise UsageError(f"k must be >= 2 for this map, got {k}")
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
+    for key, bits in masks.items():
+        image_sizes[len(key) + 1] += (bits >> (len(key) + 1)).bit_count()
     for key, bits in hits.items():
         image_sizes[len(key) + 1] += bits.bit_count()
     rows: list[dict] = []

@@ -1,7 +1,11 @@
 """Generating-tree engine against the brute-force oracle and golden files."""
 
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -12,6 +16,7 @@ import patlab.enumeration as enumeration
 from conftest import oracle_avoids_basis, perms
 from patlab import (
     BudgetExceededError,
+    InternalCheckError,
     UsageError,
     avoids_basis,
     brute_force_avoiders,
@@ -27,6 +32,7 @@ from patlab import (
 from patlab.enumeration import avoider_masks
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # random bases for the kernel oracle checks: 1-3 patterns of length 1-5
 BASES = st.lists(perms(5, min_n=1), min_size=1, max_size=3).map(make_basis)
@@ -60,6 +66,12 @@ MISC_BASES = [
 
 def basis_of(patterns):
     return make_basis([parse_perm(s) for s in patterns], label=";".join(patterns))
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestAvoidsBasis:
@@ -155,18 +167,85 @@ class TestParallel:
         par = count_sequence(8, basis, parallel=True)
         assert par.counts == seq.counts
 
-    def test_pool_failure_falls_back_to_sequential(self, monkeypatch, capsys):
-        def no_pool(*args, **kwargs):
+    def test_fork_failure_falls_back_to_sequential(self, monkeypatch, capsys):
+        def no_fork():
             raise OSError("process creation refused")
 
-        ctx = enumeration.multiprocessing.get_context("fork")
-        monkeypatch.setattr(type(ctx), "Pool", no_pool)
+        monkeypatch.setattr(enumeration.os, "fork", no_fork)
         basis = monotone_basis(3, 2, 2)
         par = count_sequence(8, basis, parallel=True)
         err = capsys.readouterr().err
         assert par.counts == count_sequence(8, basis).counts
         assert "counted sequentially" in err
         assert len(err.splitlines()) == 1
+
+    def test_second_fork_refused_reaps_the_first_child(self, monkeypatch, capsys):
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            if forks:
+                raise OSError("process creation refused")
+            forks.append(real_fork())
+            return forks[-1]
+
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(enumeration.os, "fork", fork_once)
+        basis = monotone_basis(4, 3, 3)
+        par = count_sequence(8, basis, parallel=True)
+        err = capsys.readouterr().err
+        assert len(forks) == 1
+        assert_no_children()
+        assert par.counts == count_sequence(8, basis).counts
+        assert "counted sequentially" in err
+        assert len(err.splitlines()) == 1
+
+    def test_dead_worker_fails_the_count(self, monkeypatch):
+        parent = os.getpid()
+        real_grow = enumeration._grow
+
+        def dying_grow(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            real_grow(*args)
+
+        monkeypatch.setattr(enumeration, "_grow", dying_grow)
+        start = time.monotonic()
+        with pytest.raises(InternalCheckError, match="exited with code 7"):
+            count_sequence(8, monotone_basis(4, 3, 3), parallel=True)
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_interrupt_kills_running_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def stuck_share(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(enumeration, "_count_share", stuck_share)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            count_sequence(8, monotone_basis(4, 3, 3), parallel=True)
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_workers_never_flush_the_parents_stdout(self):
+        code = (
+            "import sys\n"
+            "from patlab import count_sequence, monotone_basis\n"
+            "sys.stdout.write('x')\n"
+            "count_sequence(8, monotone_basis(4, 3, 3), parallel=True)\n"
+        )
+        # stdout must stay block-buffered for the test to mean anything
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "x"
 
 
 class TestKernelOracle:
@@ -250,6 +329,7 @@ class TestBudgetsAndCaps:
         # the split prefix fits in 2000 nodes, the worker phase does not
         with pytest.raises(BudgetExceededError):
             count_sequence(9, basis_of(["4321"]), node_budget=2000, parallel=True)
+        assert_no_children()
 
     @pytest.mark.parametrize("run", [
         lambda b: count_sequence(0, b, node_budget=0),

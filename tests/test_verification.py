@@ -254,6 +254,27 @@ class TestCertifyFailures:
         assert rows[3]["image_size"] == rows[3]["source_size"] - 1
         assert all(rows[n]["injective"] for n in (0, 1, 2, 4, 5))
 
+    def test_images_with_keys_outside_the_target_are_counted(self, monkeypatch):
+        # with H the identity, members of Av(M(4,3,2)) whose parent leaves
+        # Av(M(4,3,3)) keep their hit bits off the target masks; they are
+        # counted and told apart like the rest
+        source, target = source_and_target("H", 4, j=3)
+        levels = levels_avoiders(source, 6)
+        parent = lambda p: tuple(v for v in p if v < len(p))
+        stray = sorted(p for p in levels[6] if not avoids_basis(parent(p), target))
+        assert len(stray) >= 2
+        monkeypatch.setattr(verification, "_window_kernel", _identity_map)
+        rows = certify_map("H", 4, j=3, max_n=6).rows
+        assert [r["image_size"] for r in rows] == [len(levels[n]) for n in range(7)]
+        assert all(r["injective"] for r in rows)
+        # send the second stray member onto the first: a collision among them
+        monkeypatch.setattr(
+            verification, "_window_kernel", lambda p, *args: (stray[0] if p == stray[1] else p, ())
+        )
+        rows = certify_map("H", 4, j=3, max_n=6).rows
+        assert not rows[6]["injective"] and rows[6]["image_size"] == len(levels[6]) - 1
+        assert all(r["injective"] for r in rows[:6])
+
     def test_least_escape_wins_over_tree_order(self, monkeypatch):
         # Av(M(2,2,1)) at n=3 is {213, 231, 312, 321}, visited in tree order
         # 321, 231, 213, 312; both 231 and 213 are sent outside Av(M(2,2,2)),
