@@ -24,16 +24,15 @@ every avoider and its mask to a callback, ``levels_avoiders`` returns the
 avoiders of every length as sets, and ``avoider_masks`` the masks of every
 avoider below the last length, which answer membership at the last length
 by one bit each. Parallel counting is a fork-join: the subtrees cut at a
-fixed depth are dealt in strided shares, the parent counts one share, and
-each other share goes to a forked child that sends its counts by length
-back through its own pipe. They share nothing else but a monotone
-node-budget counter, and the counts are summed, so parallel and sequential
-runs agree exactly. A dead worker fails the count; it never counts as zero.
+fixed depth are dealt in strided shares, the parent counts one share (and
+any no child takes), each other share goes to a forked child that sends its
+counts back through its own pipe, and nothing else is shared. Each share
+spends its own copy of the node budget; as every avoider costs one node, the
+join refuses summed counts over the limit, as the sequential walk would.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -63,8 +62,7 @@ BRUTE_FORCE_CAP = 9
 
 _PARALLEL_SPLIT_DEPTH = 6
 _PARALLEL_MIN_N = 8
-_BUDGET_BATCH = 4096
-_EXHAUSTED = b"budget\n"  # a child's answer when the shared budget ran out
+_EXHAUSTED = b"budget\n"  # a child's answer when its copy of the budget ran out
 
 
 @dataclass(frozen=True)
@@ -112,30 +110,6 @@ class _NodeBudget:
         self.remaining -= amount
         if self.remaining < 0:
             raise _budget_exhausted(self.limit)
-
-
-class _SharedBudget:
-    """A worker's share of a node budget held in a shared counter; nodes are
-    charged to it in batches of ``_BUDGET_BATCH`` to keep the lock cold."""
-
-    __slots__ = ("shared", "limit", "pending")
-
-    def __init__(self, shared, limit: int):
-        self.shared = shared
-        self.limit = limit
-        self.pending = 0
-
-    def spend(self, amount: int = 1) -> None:
-        self.pending += amount
-        if self.pending >= _BUDGET_BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        with self.shared.get_lock():
-            self.shared.value += self.pending
-            self.pending = 0
-            if self.shared.value > self.limit:
-                raise _budget_exhausted(self.limit)
 
 
 # -- the generating-tree kernel ---------------------------------------------
@@ -269,10 +243,10 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> 
     ``emit`` the last level is counted from the live slots alone."""
     n1 = len(p) + 1
     live = ~dead & ((1 << n1) - 1)
+    found = live.bit_count()
+    counts[n1] += found
+    budget.spend(found)
     if emit is None and n1 == max_n:
-        found = live.bit_count()
-        counts[n1] += found
-        budget.spend(found)
         return
     deeper = n1 < max_n
     mask = None
@@ -281,8 +255,6 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> 
         live ^= low
         s0 = low.bit_length() - 1
         child = p[:s0] + (n1,) + p[s0:]
-        counts[n1] += 1
-        budget.spend()
         if deeper:
             mask = _child_mask(child, s0, dead, table)
         if emit is not None and emit(child, mask):
@@ -371,13 +343,12 @@ def _count_share(roots, table, max_n: int, counts: list, budget) -> None:
     """Add the strict descendants of each (root, mask) pair to ``counts``."""
     for root, dead in roots:
         _grow(root, dead, table, max_n, counts, budget, None)
-    budget.flush()
 
 
 def _fork_share(roots, table, max_n: int, budget) -> tuple[int, BinaryIO]:
-    """Fork a child that writes the count vector of ``roots``, or
-    ``_EXHAUSTED``, to a new pipe; (pid, read end). The child leaves by
-    ``os._exit``, never returning into the caller's stack or flushing stdio."""
+    """Fork a child that counts ``roots`` on its own copy of ``budget`` and
+    writes the count vector, or ``_EXHAUSTED``, to a new pipe; (pid, read end).
+    It leaves by ``os._exit``: no return into the caller's stack, no stdio flush."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -403,7 +374,6 @@ def _fork_share(roots, table, max_n: int, budget) -> tuple[int, BinaryIO]:
 
 def _count_parallel(basis: PatternBasis, max_n: int, budget: _NodeBudget) -> list[int]:
     split = min(_PARALLEL_SPLIT_DEPTH, max_n - 1)
-    limit = budget.limit
     roots: list[tuple[Perm, int]] = []
 
     def cut(p: Perm, dead: int) -> bool:
@@ -416,38 +386,47 @@ def _count_parallel(basis: PatternBasis, max_n: int, budget: _NodeBudget) -> lis
     if not roots:
         return counts
     table = _kill_table(basis.patterns)
-    # share 0 is counted here, each other share by one forked child
     shares = max(2, min(_usable_cpus(), len(roots)))
-    children: list[tuple[int, BinaryIO]] = []
+    here, unread = [0], []  # shares this process counts: before the join, after it
+    children: list[tuple[int, int, BinaryIO]] = []  # (share, pid, read end)
     try:
-        try:
-            shared = multiprocessing.get_context("fork").Value("q", limit - budget.remaining)
-            budget = _SharedBudget(shared, limit)
-            for w in range(1, shares):
-                children.append(_fork_share(roots[w::shares], table, max_n, budget))
-            _count_share(roots[::shares], table, max_n, counts, budget)
-            while children:
-                pid, pipe = children[0]
+        for w in range(1, shares):
+            try:
+                children.append((w, *_fork_share(roots[w::shares], table, max_n, budget)))
+            except OSError as exc:  # no process support (a sandbox): the counts are the same
+                sys.stderr.write(
+                    f"patlab: worker processes unavailable ({exc}); counted sequentially\n"
+                )
+                here += range(w, shares)
+                break
+        _count_share([r for w in here for r in roots[w::shares]], table, max_n, counts, budget)
+        for w, pid, pipe in children[:]:
+            try:
                 with pipe:
                     data = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if code == 0 and data == _EXHAUSTED:
-                    raise _budget_exhausted(limit)
-                fields = data.split()
-                if code or not data.endswith(b"\n") or len(fields) != max_n + 1:
-                    raise InternalCheckError(
-                        f"counting worker {pid} exited with code {code} after {len(data)} bytes"
-                    )
-                counts = [c + int(f) for c, f in zip(counts, fields)]
-        finally:
-            for pid, pipe in children:  # on any exception, interrupts included
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    except OSError as exc:  # no process support (a sandbox): the counts are the same
-        sys.stderr.write(f"patlab: worker processes unavailable ({exc}); counted sequentially\n")
-        return _walk(basis, max_n, _NodeBudget(limit))
+            except OSError as exc:  # the child is killed and reaped below
+                sys.stderr.write(f"patlab: worker {pid} unreadable ({exc}); counted sequentially\n")
+                unread.append(w)
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.remove((w, pid, pipe))
+            if code == 0 and data == _EXHAUSTED:
+                raise _budget_exhausted(budget.limit)
+            fields = data.split()
+            if code or not data.endswith(b"\n") or len(fields) != max_n + 1:
+                raise InternalCheckError(
+                    f"counting worker {pid} exited with code {code} after {len(data)} bytes"
+                )
+            counts = [c + int(f) for c, f in zip(counts, fields)]
+    finally:
+        for _, pid, pipe in children:  # on any exception, interrupts included
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    _count_share([r for w in unread for r in roots[w::shares]], table, max_n, counts, budget)
+    # one node per avoider, so this is the sequential walk's verdict
+    if sum(counts) > budget.limit:
+        raise _budget_exhausted(budget.limit)
     return counts
 
 

@@ -240,6 +240,11 @@ def _landing(p: Perm, k: int, i: int, up, down):
             if p[cpos] > p[t]:
                 landing = cpos
         if landing is None and c is not None:
+            # unreachable: a longest increasing run from t has down values
+            # down[t], ..., 1, and down[t] >= k-i > k-i-1 >= 1, so some later,
+            # larger u on it has down[u] == k-i-1 and up[u] >= up[t]+1 >= i+2:
+            # rank-(i+2)-capable, outside B, so a landing entry above t. Kept
+            # as a counterexample detector.
             raise InternalCheckError(
                 f"no landing entry above value {p[t]} in {format_perm(p)} "
                 f"(k={k}, i={i}); input violates the step's guarantees"
@@ -315,6 +320,11 @@ def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
                 partner = cand
                 break
         if partner is None:
+            # unreachable: for i >= 1, a longest increasing run ending at t
+            # has up values 1, ..., up[t] with up[t] >= i+1, so some earlier,
+            # smaller s on it has up[s] == i and down[s] > down[t] >= k-i:
+            # rank-i-capable, outside B, so in A and a partner. Kept as a
+            # counterexample detector.
             raise NotInImageError(
                 f"{format_perm(w)} is not in the image of the step "
                 f"(k={k}, i={i}): value {w[t]} has no partner entry"

@@ -218,6 +218,8 @@ def certify_map(
         forward = lambda p: _f_kernel(p, k, i)
         backward = lambda w: _finv_kernel(w, k, i)
     elif map_name == "G":
+        if k < 2:
+            raise UsageError(f"k must be >= 2 for this map, got {k}")
         params = (("direction", "to_21"),)
         expectation = "bijection"
         # both directions of G are the same window reversal
@@ -281,10 +283,6 @@ def certify_map(
             collided[n] = True
 
     src_sizes = walk_avoiders(source, max_n, visit, node_budget=node_budget)
-    if map_name == "G" and k < 2:
-        # map_G's own guard, which fires at its first application: after
-        # the class checks and the budget of both walks
-        raise UsageError(f"k must be >= 2 for this map, got {k}")
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
     for key, bits in masks.items():
         image_sizes[len(key) + 1] += (bits >> (len(key) + 1)).bit_count()

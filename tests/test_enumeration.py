@@ -1,5 +1,6 @@
 """Generating-tree engine against the brute-force oracle and golden files."""
 
+import io
 import math
 import os
 import pathlib
@@ -66,6 +67,19 @@ MISC_BASES = [
 
 def basis_of(patterns):
     return make_basis([parse_perm(s) for s in patterns], label=";".join(patterns))
+
+
+def count_walks(monkeypatch) -> list:
+    """Record each call of the kernel's root walk ``enumeration._walk``."""
+    calls = []
+    real_walk = enumeration._walk
+
+    def walk(*args):
+        calls.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(enumeration, "_walk", walk)
+    return calls
 
 
 def assert_no_children():
@@ -172,9 +186,11 @@ class TestParallel:
             raise OSError("process creation refused")
 
         monkeypatch.setattr(enumeration.os, "fork", no_fork)
+        walks = count_walks(monkeypatch)
         basis = monotone_basis(3, 2, 2)
         par = count_sequence(8, basis, parallel=True)
         err = capsys.readouterr().err
+        assert len(walks) == 1  # the prefix walk only: no restart from the root
         assert par.counts == count_sequence(8, basis).counts
         assert "counted sequentially" in err
         assert len(err.splitlines()) == 1
@@ -191,14 +207,35 @@ class TestParallel:
 
         monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(enumeration.os, "fork", fork_once)
+        walks = count_walks(monkeypatch)
         basis = monotone_basis(4, 3, 3)
         par = count_sequence(8, basis, parallel=True)
         err = capsys.readouterr().err
         assert len(forks) == 1
+        assert len(walks) == 1
         assert_no_children()
         assert par.counts == count_sequence(8, basis).counts
         assert "counted sequentially" in err
         assert len(err.splitlines()) == 1
+
+    def test_unreadable_pipe_counts_the_share_here(self, monkeypatch, capsys):
+        real_fork_share = enumeration._fork_share
+
+        class Unreadable(io.BufferedReader):
+            def read(self, *args):
+                raise OSError("read refused")
+
+        def unreadable_share(*args):
+            pid, pipe = real_fork_share(*args)
+            return pid, Unreadable(pipe.detach())
+
+        monkeypatch.setattr(enumeration, "_fork_share", unreadable_share)
+        basis = monotone_basis(4, 3, 3)
+        par = count_sequence(8, basis, parallel=True)
+        err = capsys.readouterr().err
+        assert_no_children()
+        assert par.counts == count_sequence(8, basis).counts
+        assert "counted sequentially" in err
 
     def test_dead_worker_fails_the_count(self, monkeypatch):
         parent = os.getpid()
@@ -324,6 +361,20 @@ class TestBudgetsAndCaps:
     def test_node_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             count_sequence(8, basis_of(["123"]), node_budget=50)
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_budget_verdict_is_the_node_count(self, parallel):
+        # one node per avoider, so a budget of exactly the summed counts
+        # suffices and one less does not, whichever way the tree is walked
+        basis = monotone_basis(4, 3, 3)
+        total = sum(count_sequence(9, basis).values())
+        assert total == 186_702
+        # 700 runs out inside the parallel path's prefix walk (784 nodes)
+        for short in (700, total - 1):
+            with pytest.raises(BudgetExceededError, match=f"budget of {short} "):
+                count_sequence(9, basis, parallel=parallel, node_budget=short)
+        assert sum(count_sequence(9, basis, parallel=parallel, node_budget=total).values()) == total
+        assert_no_children()
 
     def test_parallel_budget_enforced(self):
         # the split prefix fits in 2000 nodes, the worker phase does not

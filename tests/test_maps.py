@@ -434,5 +434,6 @@ class TestKernels:
                     assert _outcome(kernel, p, k, x) == expected, (x, p)
                     errors += isinstance(expected[0], type)
         # the window maps refuse some non-members; F's and Finv's error
-        # branches fire on no permutation of length <= 8
+        # branches fire on no permutation at all (the arguments are at the
+        # raises in maps._landing and maps._finv_kernel)
         assert errors or name in ("F", "Finv")

@@ -174,6 +174,8 @@ class TestCertify:
             certify_map("F", 3, max_n=4)  # missing i
         with pytest.raises(UsageError):
             certify_map("H", 3, j=1, max_n=4)
+        with pytest.raises(UsageError, match="k must be >= 2 for this map, got 1"):
+            certify_map("G", 1, max_n=4)
 
     def test_json_shape(self):
         doc = certify_map("F", 2, i=0, max_n=4).as_json_dict()
