@@ -62,7 +62,6 @@ from .verification import (
     discover_basis,
     distant_growth_bounds,
     growth_diagnostics,
-    reference_growth_rate,
     sandwich_check,
     survey_almost_distant,
     verify_wilf,

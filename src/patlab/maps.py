@@ -74,24 +74,6 @@ class RoleSets:
     c_positions: tuple[int, ...] | None
     f_map: tuple[tuple[int, int | None], ...]
 
-    def a_values(self) -> tuple[int, ...] | None:
-        if self.a_positions is None:
-            return None
-        return tuple(sorted(self.perm[t] for t in self.a_positions))
-
-    def b_values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.perm[t] for t in self.b_positions))
-
-    def c_values(self) -> tuple[int, ...] | None:
-        if self.c_positions is None:
-            return None
-        return tuple(sorted(self.perm[t] for t in self.c_positions))
-
-    def f_by_value(self) -> dict[int, int | str]:
-        return {
-            self.perm[b]: ("end" if c is None else self.perm[c]) for b, c in self.f_map
-        }
-
     def as_json_dict(self) -> dict:
         def side(positions):
             if positions is None:

@@ -16,7 +16,9 @@ Grammar (CLI and config files)::
                     "D(k,j)"         monotone distant (nothing dropped)
     union           parts joined by ';', e.g. "M(4,3,3);312456"
 
-Multiple gap tokens and sized gaps ("#^r") are rejected.
+A compact part has one letter per digit 1-9; a part with whitespace reads
+whitespace-separated decimal numbers. A repeated gap token, a sized gap
+("#^r") or any other character is a usage error whose caret points at it.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ def _parse_part(raw: str, full: str, offset: int) -> PatternBasis:
         return _parse_macro(m, full, offset + m.start(1))
     lead = offset + (len(raw) - len(raw.lstrip()))
     tokens = _tokenize(raw, full, offset)
-    letters = [t for t in tokens if t[0] == "int"]
     specials = [t for t in tokens if t[0] != "int"]
     if len(specials) > 1:
         kind = "gap" if specials[1][0] == "box" else "bracket"
@@ -222,24 +223,20 @@ def _parse_part(raw: str, full: str, offset: int) -> PatternBasis:
             f"at most one gap token per pattern (extra {kind} token)", full, specials[1][2]
         )
     try:
-        underlying = check_perm(v for _, v, _ in letters)
+        underlying = check_perm(v for kind, v, _ in tokens if kind == "int")
     except UsageError as exc:
         raise ClassExpressionError(str(exc), full, lead) from None
     if not specials:
-        if not underlying:
-            raise ClassExpressionError("empty pattern", full, lead)
         return make_basis([underlying], label=raw.strip())
-    kind, value, pos = specials[0]
-    box_pos = sum(1 for t in tokens[: tokens.index(specials[0])] if t[0] == "int") + 1
-    k = len(underlying)
+    _, value, pos = specials[0]
     if not underlying:
         raise ClassExpressionError("gap token needs surrounding pattern letters", full, pos)
-    if kind == "box":
-        return expand_distant(underlying, box_pos, label=raw.strip())
-    if not 1 <= value <= k + 1:
+    if value is not None and not 1 <= value <= len(underlying) + 1:
         raise ClassExpressionError(
-            f"bracket value must be in 1..{k + 1}, got {value}", full, pos
+            f"bracket value must be in 1..{len(underlying) + 1}, got {value}", full, pos
         )
+    # the one special token has exactly its index's worth of letters before it
+    box_pos = tokens.index(specials[0]) + 1
     return expand_distant(underlying, box_pos, value, label=raw.strip())
 
 
@@ -258,68 +255,34 @@ def _parse_macro(m: re.Match, full: str, pos: int) -> PatternBasis:
         raise ClassExpressionError(str(exc), full, pos) from None
 
 
-def _tokenize(raw: str, full: str, offset: int) -> list[tuple[str, int, int]]:
-    # Tokens are ("int", value, pos), ("box", 0, pos), ("bracket", value, pos).
-    if any(ch.isspace() for ch in raw):
-        return _tokenize_spaced(raw, full, offset)
-    return _tokenize_compact(raw, full, offset)
-
-
-def _tokenize_spaced(raw: str, full: str, offset: int) -> list[tuple[str, int, int]]:
-    out: list[tuple[str, int, int]] = []
-    for m in re.finditer(r"\S+", raw):
+def _tokenize(raw: str, full: str, offset: int) -> list[tuple[str, int | None, int]]:
+    # Tokens are ("int", value, pos), ("box", None, pos), ("bracket", value, pos).
+    # A part with whitespace splits into words, a compact one into letters, '#',
+    # '#^' and bracket tokens; one rule list reads both.
+    spaced = any(ch.isspace() for ch in raw)
+    out: list[tuple[str, int | None, int]] = []
+    for m in re.finditer(r"\S+" if spaced else r"\[\d+\]|#\^?|.", raw):
         tok, pos = m.group(), offset + m.start()
-        if tok == "#":
-            _reject_repeat_box(out, full, pos)
-            out.append(("box", 0, pos))
+        if tok.isdecimal() and (spaced or tok != "0"):
+            out.append(("int", int(tok), pos))
+        elif tok == "#":
+            if any(kind == "box" for kind, _, _ in out):
+                raise ClassExpressionError(
+                    "at most one gap token per pattern (repeated '#')", full, pos
+                )
+            out.append(("box", None, pos))
         elif "#^" in tok or re.fullmatch(r"#\d+", tok):
-            raise ClassExpressionError(
-                "sized gaps (#^r with r >= 2) are not supported", full, pos
-            )
+            raise ClassExpressionError("sized gaps (#^r with r >= 2) are not supported", full, pos)
         elif re.fullmatch(r"\[\d+\]", tok):
             out.append(("bracket", int(tok[1:-1]), pos))
-        elif tok.isdigit():
-            out.append(("int", int(tok), pos))
-        else:
+        elif spaced:
             raise ClassExpressionError(f"unexpected token {tok!r}", full, pos)
-    return out
-
-
-def _tokenize_compact(raw: str, full: str, offset: int) -> list[tuple[str, int, int]]:
-    out: list[tuple[str, int, int]] = []
-    t = 0
-    while t < len(raw):
-        ch = raw[t]
-        pos = offset + t
-        if ch.isdigit():
-            if ch == "0":
-                raise ClassExpressionError(
-                    "compact form uses digits 1-9; use the spaced form for larger values",
-                    full,
-                    pos,
-                )
-            out.append(("int", int(ch), pos))
-            t += 1
-        elif ch == "#":
-            if t + 1 < len(raw) and raw[t + 1] == "^":
-                raise ClassExpressionError(
-                    "sized gaps (#^r with r >= 2) are not supported", full, pos
-                )
-            _reject_repeat_box(out, full, pos)
-            out.append(("box", 0, pos))
-            t += 1
-        elif ch == "[":
-            end = raw.find("]", t)
-            inner = raw[t + 1 : end] if end >= 0 else ""
-            if end < 0 or not inner.isdigit():
-                raise ClassExpressionError("malformed bracket token", full, pos)
-            out.append(("bracket", int(inner), pos))
-            t = end + 1
+        elif tok == "0":
+            raise ClassExpressionError(
+                "compact form uses digits 1-9; use the spaced form for larger values", full, pos
+            )
+        elif tok[0] == "[":
+            raise ClassExpressionError("malformed bracket token", full, pos)
         else:
-            raise ClassExpressionError(f"unexpected character {ch!r}", full, pos)
+            raise ClassExpressionError(f"unexpected character {tok!r}", full, pos)
     return out
-
-
-def _reject_repeat_box(seen: list[tuple[str, int, int]], full: str, pos: int) -> None:
-    if any(kind == "box" for kind, _, _ in seen):
-        raise ClassExpressionError("at most one gap token per pattern (repeated '#')", full, pos)

@@ -67,7 +67,7 @@ def parse_perm(text: str) -> Perm:
             values = [int(tok) for tok in s.split()]
         except ValueError:
             raise UsageError(f"bad permutation text: {text!r}") from None
-    elif s.isdigit():
+    elif s.isdecimal():
         values = [int(ch) for ch in s]
     else:
         raise UsageError(f"bad permutation text: {text!r}")

@@ -9,7 +9,6 @@ and no verdict is ever attached to them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -51,7 +50,6 @@ __all__ = [
     "discover_basis",
     "growth_diagnostics",
     "distant_growth_bounds",
-    "reference_growth_rate",
     "sandwich_check",
     "survey_almost_distant",
 ]
@@ -467,7 +465,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     discovered = make_basis(minimal, label=f"discovered(k={k},j={j},len<={max_len})")
     predicted = None
     matches = None
-    if j in (2, 3, 4) and (k >= 3 or j != 4):
+    if j <= 4:
         predicted = construct_S_explicit(k, j)
         trimmed = make_basis(
             [q for q in predicted if len(q) <= max_len], label=predicted.label
@@ -491,18 +489,6 @@ def distant_growth_bounds(k: int) -> tuple[float, float]:
     """Reference interval for the growth rate of any monotone distant class
     D(k,j) with an interior gap: [(k-1)^2, (k-1)^2 + 1]."""
     return (float((k - 1) ** 2), float((k - 1) ** 2 + 1))
-
-
-def reference_growth_rate(k: int, j: int, i: int) -> float | None:
-    """Known exact growth rates for monotone almost-distant classes."""
-    if j == k + 1 and 2 <= i <= k:
-        return float((k - 1) ** 2)
-    if j == k + 1 and i == k + 1:
-        return float((k - 1) ** 2 + 1)
-    if (k, j, i) == (3, 3, 1):
-        golden = (1 + math.sqrt(5)) / 2
-        return (1 + math.sqrt(golden)) ** 2
-    return None
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,21 @@ class TestUsageErrors:
         assert lines[0].startswith("error:")
         assert "^" in lines[2]
 
+    # '²' passes str.isdigit() but not int(); it is a usage error, not a crash
+    @pytest.mark.parametrize("argv", [
+        ["count", "--class", "²", "--n", "3"],
+        ["count", "--class", "1[²]2", "--n", "3"],
+        ["map", "--map", "G", "--k", "3", "--perm", "²"],
+    ], ids=["class", "class-bracket", "perm"])
+    def test_superscript_digit_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("error:")
+        assert not any(line.startswith("error:") for line in lines[1:])
+        assert "Traceback" not in err
+
     def test_hard_cap(self, capsys):
         code, _, err = run(capsys, "count", "--class", "123", "--n", "13")
         assert code == 2
@@ -366,7 +381,7 @@ _VALID_PART = st.one_of(
 )
 _JUNK_PART = st.one_of(
     st.lists(
-        st.sampled_from(list("123456789#") + ["[2]", "[9]", "[", "]", "0", " ", "x", "#^2"]),
+        st.sampled_from(list("123456789#") + ["[2]", "[9]", "[", "]", "0", " ", "x", "#^2", "²"]),
         max_size=7,
     ).map("".join),
     st.builds(
@@ -379,7 +394,9 @@ _CLASS = st.lists(_VALID_PART | _VALID_PART | _JUNK_PART, min_size=1, max_size=2
 _PERM = (
     st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
     .map(lambda p: "".join(map(str, p)))
-    | st.sampled_from(["", "12x", "1 1", "0", "21 3", "3 1 2", "8 3 2 11 12 5 6 9 10 14 4 1 13 7"])
+    | st.sampled_from(
+        ["", "12x", "1 1", "0", "21 3", "3 1 2", "8 3 2 11 12 5 6 9 10 14 4 1 13 7", "²"]
+    )
 )
 # survey counts (k+1)^2 variants of its pattern, so its perms stay short.
 _SHORT_PERM = st.sampled_from(["", "1", "12", "21", "132", "2413", "x", "11", "0"])

@@ -32,26 +32,32 @@ P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
 
 
+def values_at(roles, positions):
+    """The sorted values of ``roles.perm`` at ``positions``."""
+    return sorted(roles.perm[t] for t in positions)
+
+
 class TestRoleSets:
     def test_fourteen_element_reference(self):
         roles = role_sets(P14, k=4, i=2)
-        assert roles.a_values() == (5, 11)
-        assert roles.b_values() == (6, 9, 10, 12)
-        assert roles.c_values() == (7, 13, 14)
-        assert roles.f_by_value() == {6: 7, 9: 13, 10: 13, 12: 13}
+        assert values_at(roles, roles.a_positions) == [5, 11]
+        assert values_at(roles, roles.b_positions) == [6, 9, 10, 12]
+        assert values_at(roles, roles.c_positions) == [7, 13, 14]
+        f = {arrow["from_value"]: arrow["to_value"] for arrow in roles.as_json_dict()["f"]}
+        assert f == {6: 7, 9: 13, 10: 13, 12: 13}
 
     def test_eight_element_literal_definition(self):
         # literal capability reading: 6 reaches rank 3 through 2,4,6,7
         roles = role_sets(parse_perm("82456173"), k=4, i=2)
-        assert roles.a_values() == (4,)
-        assert roles.b_values() == (5, 6)
-        assert roles.c_values() == (7,)
+        assert values_at(roles, roles.a_positions) == [4]
+        assert values_at(roles, roles.b_positions) == [5, 6]
+        assert values_at(roles, roles.c_positions) == [7]
 
     def test_start_anchor(self):
         roles = role_sets((1, 2, 3), k=2, i=0)
         assert roles.a_positions is None
-        assert roles.b_values() == (1, 2)
-        assert roles.c_values() == (3,)
+        assert values_at(roles, roles.b_positions) == [1, 2]
+        assert values_at(roles, roles.c_positions) == [3]
 
     def test_end_anchor(self):
         roles = role_sets((1, 2), k=2, i=1, validate=False)
@@ -116,7 +122,7 @@ class TestMapF:
 
     def test_non_movers_keep_relative_order(self):
         roles = role_sets(P14, k=4, i=2)
-        moved = set(roles.b_values())
+        moved = {P14[t] for t in roles.b_positions}
         kept_in = [v for v in P14 if v not in moved]
         kept_out = [v for v in P14_IMAGE if v not in moved]
         assert kept_in == kept_out

@@ -237,6 +237,40 @@ class TestClassExpressionGrammar:
             parse_class_expression(bad)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,message,pos",
+        [
+            ("1#2#3", "at most one gap token per pattern (repeated '#')", 3),
+            ("1 # 2 # 3", "at most one gap token per pattern (repeated '#')", 6),
+            ("12#^3", "sized gaps (#^r with r >= 2) are not supported", 2),
+            ("1 2 #^2 3", "sized gaps (#^r with r >= 2) are not supported", 4),
+            ("1 2 #2 3", "sized gaps (#^r with r >= 2) are not supported", 4),
+            ("1[2", "malformed bracket token", 1),
+            ("1[]2", "malformed bracket token", 1),
+            ("1[²]2", "malformed bracket token", 1),
+            ("12x3", "unexpected character 'x'", 2),
+            ("²", "unexpected character '²'", 0),
+            ("1 x 2", "unexpected token 'x'", 2),
+            ("1 [2 3", "unexpected token '[2'", 2),
+            ("1 ²", "unexpected token '²'", 2),
+            ("102", "compact form uses digits 1-9; use the spaced form for larger values", 1),
+            ("1[1]2#3", "at most one gap token per pattern (extra gap token)", 5),
+            ("1 # 2 [1] 3", "at most one gap token per pattern (extra bracket token)", 6),
+            ("12[9]34", "bracket value must be in 1..5, got 9", 2),
+            ("1 2 [0] 3", "bracket value must be in 1..4, got 0", 4),
+            ("", "empty class expression part", 0),
+            ("12; ;13", "empty class expression part", 3),
+            ("#", "gap token needs surrounding pattern letters", 0),
+            ("123; #", "gap token needs surrounding pattern letters", 5),
+            ("13", "not a permutation of 1..2: (1, 3)", 0),
+            ("M(3,2,2);  1 3", "not a permutation of 1..2: (1, 3)", 11),
+        ],
+    )
+    def test_every_tokenizer_error(self, text, message, pos):
+        with pytest.raises(ClassExpressionError) as err:
+            parse_class_expression(text)
+        assert (str(err.value), err.value.pos) == (message, pos)
+
     def test_caret_points_at_offender(self):
         with pytest.raises(ClassExpressionError) as err:
             parse_class_expression("M(3,2,2);1#2#3")

@@ -25,7 +25,6 @@ from patlab import (
     monotone_basis,
     parse_class_expression,
     parse_perm,
-    reference_growth_rate,
     sandwich_check,
     survey_almost_distant,
     verify_wilf,
@@ -413,10 +412,6 @@ class TestGrowth:
 
     def test_reference_bounds(self):
         assert distant_growth_bounds(4) == (9.0, 10.0)
-        assert reference_growth_rate(4, 5, 3) == 9.0
-        assert reference_growth_rate(4, 5, 5) == 10.0
-        assert reference_growth_rate(3, 3, 1) == pytest.approx(5.162, abs=5e-3)
-        assert reference_growth_rate(3, 2, 2) is None
 
     def test_json_mentions_finite_n(self):
         doc = growth_diagnostics(make_basis([(2, 1)], label="21"), 4, (0.0, 1.0)).as_json_dict()
