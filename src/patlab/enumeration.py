@@ -14,9 +14,11 @@ kills the slot range (a, b], where a is the position of the entry just left
 of q's maximum (-1 if none) and b the position of the entry just right of it
 (the length if none). A child keeps its parent's dead slots, shifted past the
 inserted maximum; the only new ones come from occurrences of q' that use the
-new maximum, which must play the maximum of q'. So each child costs one
-search per basis pattern with that entry pinned, and the last level is
-counted from its parents' masks without building a permutation. The
+new maximum, which must play the maximum of q'. Without it they are the
+occurrences of q'' (q' without its maximum) in the parent, which do not
+depend on the slot: so each parent runs one search for q'' per basis
+pattern and scatters each occurrence to the live slots it serves, and the
+last two levels are counted from masks without building a permutation. The
 brute-force filter is the oracle this answers to.
 
 Counting mode never materializes permutations; ``walk_avoiders`` hands
@@ -116,9 +118,10 @@ class _NodeBudget:
 
 
 def _kill_table(patterns) -> tuple[tuple, ...]:
-    """One entry ``(len q', m, m2, lo_ref, hi_ref)`` per basis pattern q of
-    length >= 2, where q' is q without its maximum, m the position of q's
-    maximum, m2 that of q''s maximum, and the refs are q''s value bounds."""
+    """One entry ``(len q'', m, m2, lo_ref, hi_ref, gaps)`` per basis
+    pattern q of length >= 2, where q' is q without its maximum and q'' is q'
+    without its maximum, m and m2 are the positions of the maxima of q and q',
+    and the refs are the value bounds of q''."""
     table = []
     for q in patterns:
         k = len(q)
@@ -126,121 +129,85 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
             continue
         m = q.index(k)
         q1 = q[:m] + q[m + 1 :]
-        lo_ref, hi_ref = _bound_refs(q1)
-        table.append((k - 1, m, q1.index(k - 1), lo_ref, hi_ref))
+        m2 = q1.index(k - 1)
+        # U is in gaps when (pos[U-1], pos[U]] must hold a live slot of p:
+        # the slots an occurrence serves, and its kill range when both ends
+        # are entries of q'' (a range of dead slots adds nothing)
+        gaps = frozenset((m2, m - 1 if m2 < m - 1 else m if m < m2 else m2))
+        table.append((k - 2, m, m2, *_bound_refs(q1[:m2] + q1[m2 + 1 :]), gaps))
     return tuple(table)
 
 
-def _child_mask(c: Perm, s0: int, dead: int, table) -> int:
-    """Dead slots of child ``c``, made by inserting its maximum at slot
-    ``s0`` of a parent whose dead slots are ``dead``."""
-    # parent slot t <= s0 is child slot t, and t >= s0 is child slot t + 1
-    mask = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1))
-    n = len(c)
-    for entry in table:
-        kq, m, m2 = entry[0], entry[1], entry[2]
-        if m2 <= s0 and kq - m2 <= n - s0:
-            vals = [0] * kq
-            if m:
-                mask = _kills_left(c, s0, mask, entry, vals, 0, 0)
-            else:
-                mask = _kills_right(c, s0, mask, entry, vals, -1, 0)
-    return mask
+def _new_kills(p: Perm, live: int, table) -> list[int]:
+    """The new dead slots of each child of ``p``: entry s0 is the mask of
+    child slots killed by a maximum inserted at live slot s0.
 
+    Per table entry, one search lists the occurrences of q'' in p. An
+    occurrence at positions ``pos`` serves every live s0 in (pos[m2-1],
+    pos[m2]], taking pos[-1] = -1 and pos[len q''] = len(p). It kills the
+    child slots (a, b]: the child positions of q' indices m-1 and m, each s0
+    (index m2) or an entry of ``pos``, one place right when past s0."""
+    n = len(p)
+    new, pos, vals, stops = [0] * (n + 1), [0] * n, [0] * n, [0] * n
 
-# The three searches below place q' indices in order, each at increasing
-# positions of c, with index m2 pinned to s0: t < m2 ends by s0 - m2 + t,
-# t > m2 by len(c) - len(q') + t.
+    def scatter() -> None:
+        # None stands for s0 itself; a is -1 when m = 0, b is n + 1 when m is last
+        a = -1 if not m else None if m - 1 == m2 else pos[m - 1] if m - 1 < m2 else pos[m - 2] + 1
+        b = n + 1 if m > kq else None if m == m2 else pos[m] if m < m2 else pos[m - 1] + 1
+        for s0 in range(pos[m2 - 1] + 1 if m2 else 0, (pos[m2] if m2 < kq else n) + 1):
+            if live >> s0 & 1:
+                lo = s0 if a is None else a
+                hi = s0 if b is None else b
+                new[s0] |= ((1 << (hi + 1)) - 1) ^ ((1 << (lo + 1)) - 1)
 
+    def place(t: int, start: int) -> None:
+        # q'' index t goes at a position in [start, stops[t]); when t is in
+        # gaps, at or right of the first live slot from start on
+        if t in gaps:
+            after = live >> start << start
+            if not after:
+                return
+            start = (after & -after).bit_length() - 1
+        r = lo_ref[t]
+        lo = vals[r] if r >= 0 else 0
+        r = hi_ref[t]
+        hi = vals[r] if r >= 0 else n + 1
+        for x in range(start, stops[t]):
+            v = p[x]
+            if lo < v < hi:
+                pos[t] = x
+                if t + 1 == kq:
+                    scatter()
+                else:
+                    vals[t] = v
+                    place(t + 1, x + 1)
 
-def _kills_left(c: Perm, s0: int, dead: int, entry, vals: list, t: int, start: int) -> int:
-    """Place index t < m of q'; each complete left part fixes a = the
-    position of index m-1 and is extended by ``_kills_right``."""
-    kq, m, m2, lo_ref, hi_ref = entry
-    n = len(c)
-    first = s0 if t == m2 else start
-    last = s0 - m2 + t if t <= m2 else n - kq + t
-    r = lo_ref[t]
-    lo = vals[r] if r >= 0 else 0
-    r = hi_ref[t]
-    hi = vals[r] if r >= 0 else n + 1
-    # kills lie right of s0 when it plays an index left of q's maximum
-    # (a >= s0), and at or left of it otherwise (b <= s0)
-    window = (1 << (s0 + 1)) - 1
-    if m2 < m:
-        window ^= (1 << (n + 1)) - 1
-    for pos in range(first, last + 1):
-        # a >= pos + m - 1 - t, so this and every later pos only kill slots
-        # from pos + m - t on
-        if not (window & ~dead) >> (pos + m - t):
-            break
-        v = c[pos]
-        if lo < v < hi:
-            vals[t] = v
-            if t + 1 == m:
-                dead = _kills_right(c, s0, dead, entry, vals, pos, pos + 1)
-            else:
-                dead = _kills_left(c, s0, dead, entry, vals, t + 1, pos + 1)
-    return dead
-
-
-def _kills_right(c: Perm, s0: int, dead: int, entry, vals: list, a: int, start: int) -> int:
-    """Add the widest range (a, b] over the completions of a left part,
-    where b is the position of index m (len(c) when q's maximum is last).
-    b is tried from the largest down, and a range already dead stops the
-    search: every smaller b kills a subset of it."""
-    kq, m, m2, lo_ref, hi_ref = entry
-    n = len(c)
-    above_a = ~((1 << (a + 1)) - 1)
-    if m == kq:
-        return dead | (((1 << (n + 1)) - 1) & above_a)
-    first = s0 if m == m2 else start
-    last = s0 - m2 + m if m <= m2 else n - kq + m
-    r = lo_ref[m]
-    lo = vals[r] if r >= 0 else 0
-    r = hi_ref[m]
-    hi = vals[r] if r >= 0 else n + 1
-    for b in range(last, first - 1, -1):
-        span = ((1 << (b + 1)) - 1) & above_a
-        if not span & ~dead:
-            break
-        v = c[b]
-        if lo < v < hi:
-            vals[m] = v
-            if m + 1 == kq or _completes(c, s0, entry, vals, m + 1, b + 1):
-                return dead | span
-    return dead
-
-
-def _completes(c: Perm, s0: int, entry, vals: list, t: int, start: int) -> bool:
-    """Can q' indices t..len(q')-1 be placed from position ``start`` on?"""
-    kq, m, m2, lo_ref, hi_ref = entry
-    n = len(c)
-    first = s0 if t == m2 else start
-    last = s0 - m2 + t if t <= m2 else n - kq + t
-    r = lo_ref[t]
-    lo = vals[r] if r >= 0 else 0
-    r = hi_ref[t]
-    hi = vals[r] if r >= 0 else n + 1
-    for pos in range(first, last + 1):
-        v = c[pos]
-        if lo < v < hi:
-            if t + 1 == kq:
-                return True
-            vals[t] = v
-            if _completes(c, s0, entry, vals, t + 1, pos + 1):
-                return True
-    return False
+    top = live.bit_length() - 1
+    for kq, m, m2, lo_ref, hi_ref, gaps in table:
+        if kq > n:
+            continue
+        # index t leaves room for the indices after it, and a live slot
+        # right of it when t + 1 is in gaps
+        stop = n + 1
+        for t in range(kq - 1, -1, -1):
+            stop = min(stop - 1, top) if t + 1 in gaps else stop - 1
+            stops[t] = stop
+        if kq:
+            place(0, 0)
+        else:
+            scatter()
+    return new
 
 
 def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> None:
     """Add every strict descendant of ``p`` (dead slots ``dead``) of length
     <= max_n to ``counts`` by length, charging one budget unit per node.
 
+    One ``_new_kills`` call gives the new dead slots of all of p's children.
     ``emit``, when given, is called as ``emit(child, mask)`` on each
-    descendant, where ``mask`` is its dead-slot mask (None at length max_n,
-    which is never expanded); a true return cuts the child's subtree. Without
-    ``emit`` the last level is counted from the live slots alone."""
+    descendant, with its dead-slot mask (None at length max_n, which is never
+    expanded); a true return cuts the child's subtree. Without ``emit`` a
+    child one below max_n is never built: its live slots are counted."""
     n1 = len(p) + 1
     live = ~dead & ((1 << n1) - 1)
     found = live.bit_count()
@@ -248,19 +215,27 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> 
     budget.spend(found)
     if emit is None and n1 == max_n:
         return
-    deeper = n1 < max_n
-    mask = None
-    while live:
-        low = live & -live
-        live ^= low
-        s0 = low.bit_length() - 1
+    new = _new_kills(p, live, table) if n1 < max_n else None
+    last = emit is None and n1 + 1 == max_n
+    grand = 0
+    for s0 in range(n1):
+        if dead >> s0 & 1:
+            continue
+        mask = None
+        if new:
+            # parent slot t <= s0 is child slot t, and t >= s0 is child slot t + 1
+            mask = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1)) | new[s0]
+            if last:
+                grand += n1 + 1 - mask.bit_count()
+                continue
         child = p[:s0] + (n1,) + p[s0:]
-        if deeper:
-            mask = _child_mask(child, s0, dead, table)
         if emit is not None and emit(child, mask):
             continue
-        if deeper:
+        if new:
             _grow(child, mask, table, max_n, counts, budget, emit)
+    if grand:
+        counts[max_n] += grand
+        budget.spend(grand)
 
 
 def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:

@@ -213,7 +213,7 @@ def parse_class_expression(text: str) -> PatternBasis:
 def _parse_part(raw: str, full: str, offset: int) -> PatternBasis:
     m = MACRO_RE.match(raw)
     if m:
-        return _parse_macro(m, full, offset + m.start(1))
+        return _parse_macro(m, full, offset)
     lead = offset + (len(raw) - len(raw.lstrip()))
     tokens = _tokenize(raw, full, offset)
     specials = [t for t in tokens if t[0] != "int"]
@@ -240,9 +240,9 @@ def _parse_part(raw: str, full: str, offset: int) -> PatternBasis:
     return expand_distant(underlying, box_pos, value, label=raw.strip())
 
 
-def _parse_macro(m: re.Match, full: str, pos: int) -> PatternBasis:
-    name = m.group(1)
-    args = [int(g) for g in m.groups()[1:] if g is not None]
+def _parse_macro(m: re.Match, full: str, offset: int) -> PatternBasis:
+    name, pos = m.group(1), offset + m.start(1)
+    args = [_number(m.group(g), full, offset + m.start(g)) for g in (2, 3, 4) if m.group(g)]
     try:
         if name == "M":
             if len(args) != 3:
@@ -255,6 +255,13 @@ def _parse_macro(m: re.Match, full: str, pos: int) -> PatternBasis:
         raise ClassExpressionError(str(exc), full, pos) from None
 
 
+def _number(digits: str, full: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise ClassExpressionError(f"number too long ({len(digits)} digits)", full, pos) from None
+
+
 def _tokenize(raw: str, full: str, offset: int) -> list[tuple[str, int | None, int]]:
     # Tokens are ("int", value, pos), ("box", None, pos), ("bracket", value, pos).
     # A part with whitespace splits into words, a compact one into letters, '#',
@@ -264,7 +271,7 @@ def _tokenize(raw: str, full: str, offset: int) -> list[tuple[str, int | None, i
     for m in re.finditer(r"\S+" if spaced else r"\[\d+\]|#\^?|.", raw):
         tok, pos = m.group(), offset + m.start()
         if tok.isdecimal() and (spaced or tok != "0"):
-            out.append(("int", int(tok), pos))
+            out.append(("int", _number(tok, full, pos), pos))
         elif tok == "#":
             if any(kind == "box" for kind, _, _ in out):
                 raise ClassExpressionError(
@@ -274,7 +281,7 @@ def _tokenize(raw: str, full: str, offset: int) -> list[tuple[str, int | None, i
         elif "#^" in tok or re.fullmatch(r"#\d+", tok):
             raise ClassExpressionError("sized gaps (#^r with r >= 2) are not supported", full, pos)
         elif re.fullmatch(r"\[\d+\]", tok):
-            out.append(("bracket", int(tok[1:-1]), pos))
+            out.append(("bracket", _number(tok[1:-1], full, pos + 1), pos))
         elif spaced:
             raise ClassExpressionError(f"unexpected token {tok!r}", full, pos)
         elif tok == "0":

@@ -440,7 +440,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
             closed = (1 << n) - 1
             for pos, x in enumerate(parent):
                 lower = prev.get(tuple([v - (v > x) for v in parent if v != x]), 0)
-                # the lift of _child_mask: slots <= pos stay, slots >= pos move up
+                # the shift of _grow's child masks: slots <= pos stay, slots >= pos move up
                 closed &= (lower & ((1 << (pos + 1)) - 1)) | ((lower >> pos) << (pos + 1))
                 if not closed:
                     break

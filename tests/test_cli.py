@@ -282,6 +282,20 @@ class TestUsageErrors:
         assert not any(line.startswith("error:") for line in lines[1:])
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("expr", [
+        "M(" + "1" * 5000 + ",1,1)",
+        "1 " + "1" * 5000,
+        "1[" + "1" * 5000 + "]2",
+    ], ids=["macro", "letter", "bracket"])
+    def test_long_number_is_usage_error(self, capsys, expr):
+        code, out, err = run(capsys, "count", "--class", expr, "--n", "3")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: number too long (5000 digits)"
+        assert not any(line.startswith("error:") for line in lines[1:])
+        assert "Traceback" not in err
+
     def test_hard_cap(self, capsys):
         code, _, err = run(capsys, "count", "--class", "123", "--n", "13")
         assert code == 2

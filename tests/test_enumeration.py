@@ -20,6 +20,7 @@ from patlab import (
     InternalCheckError,
     UsageError,
     avoids_basis,
+    basis_reverse_complement,
     brute_force_avoiders,
     brute_force_counts,
     count_sequence,
@@ -135,6 +136,22 @@ class TestEngineEquivalence:
     def test_enumerate_single_level(self):
         basis = monotone_basis(3, 2, 2)
         assert levels_avoiders(basis, 5)[5] == brute_force_avoiders(5, basis)
+
+
+class TestBeyondBruteForce:
+    """Exact cross-checks at n=10, past the brute-force filter's cap."""
+
+    def test_reverse_complement_counts_agree(self):
+        basis = monotone_basis(4, 2, 1)
+        mirror = basis_reverse_complement(basis)
+        assert set(mirror.patterns) != set(basis.patterns)
+        assert count_sequence(10, mirror).values() == count_sequence(10, basis).values()
+
+    def test_parallel_n10_matches_sequential(self):
+        basis = monotone_basis(4, 3, 3)
+        par = count_sequence(10, basis, parallel=True)
+        assert par.counts == count_sequence(10, basis).counts
+        assert par.values()[9:] == (158_298, 1_091_984)
 
 
 class TestCountSequence:
@@ -288,9 +305,8 @@ class TestParallel:
 class TestKernelOracle:
     """The dead-slot masks and the trees they prune, on random bases."""
 
-    @settings(max_examples=50)
-    @given(BASES)
-    def test_masks_are_exactly_the_dead_slots(self, basis):
+    @staticmethod
+    def assert_masks_are_dead_slots(basis, max_len=6):
         def check(p, mask):
             if mask is None:  # length max_n: never expanded, so no mask
                 return
@@ -302,8 +318,29 @@ class TestKernelOracle:
             }
             assert live == want, (p, basis.patterns)
 
-        # masks exist for every node of length <= 6
-        enumeration._walk(basis, 7, enumeration._NodeBudget(10**6), check)
+        # masks exist for every node of length <= max_len
+        enumeration._walk(basis, max_len + 1, enumeration._NodeBudget(10**6), check)
+
+    @settings(max_examples=50)
+    @given(BASES)
+    def test_masks_are_exactly_the_dead_slots(self, basis):
+        self.assert_masks_are_dead_slots(basis)
+
+    # every single pattern of length 2-4: an empty q'' (length 2), q's
+    # maximum first and last, q''s maximum at both ends of q''
+    @pytest.mark.parametrize(
+        "pattern",
+        ["".join(map(str, q)) for k in (2, 3, 4) for q in permutations(range(1, k + 1))],
+    )
+    def test_masks_of_every_short_pattern(self, pattern):
+        self.assert_masks_are_dead_slots(basis_of([pattern]))
+
+    # both ends of the kill range are entries of q'': right of q''s maximum
+    # (41253, 41532), left of it (13524); a wrong index in the kill table's
+    # gaps first shows in the masks of length 6 or 7
+    @pytest.mark.parametrize("pattern", ["41253", "41532", "13524"])
+    def test_masks_when_both_kill_ends_are_entries(self, pattern):
+        self.assert_masks_are_dead_slots(basis_of([pattern]), max_len=7)
 
     @settings(max_examples=50)
     @given(BASES)

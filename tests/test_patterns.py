@@ -264,6 +264,10 @@ class TestClassExpressionGrammar:
             ("123; #", "gap token needs surrounding pattern letters", 5),
             ("13", "not a permutation of 1..2: (1, 3)", 0),
             ("M(3,2,2);  1 3", "not a permutation of 1..2: (1, 3)", 11),
+            # past Python's int-from-string digit limit
+            pytest.param("1 " + "1" * 5000, "number too long (5000 digits)", 2, id="long-letter"),
+            pytest.param("1[" + "1" * 5000 + "]2", "number too long (5000 digits)", 2, id="long-bracket"),
+            pytest.param("M(" + "1" * 5000 + ",1,1)", "number too long (5000 digits)", 2, id="long-macro"),
         ],
     )
     def test_every_tokenizer_error(self, text, message, pos):
