@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -67,6 +68,56 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "report.csv" in err
+
+
+# stdout, stderr and exit code of every command x format and of the usage
+# errors, written by scripts/make_golden.py; stderr is None where argparse
+# refuses the argv, as its wording differs across Python versions
+TRANSCRIPTS = json.loads((GOLDEN / "cli_transcripts.json").read_text())
+_TRANSCRIPT_IDS = [
+    shlex.join([f"{name}={value}" for name, value in entry.get("env", {}).items()] + entry["argv"])
+    for entry in TRANSCRIPTS
+]
+
+
+def replay(capsys, monkeypatch, entry, *extra):
+    monkeypatch.delenv("PATLAB_BUDGET", raising=False)
+    for name, value in entry.get("env", {}).items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = main(entry["argv"] + list(extra))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestTranscripts:
+    @pytest.mark.parametrize("entry", TRANSCRIPTS, ids=_TRANSCRIPT_IDS)
+    def test_replays_byte_for_byte(self, capsys, monkeypatch, entry):
+        code, out, err = replay(capsys, monkeypatch, entry)
+        assert (code, out) == (entry["exit"], entry["stdout"])
+        if entry["stderr"] is not None:
+            assert err == entry["stderr"]
+
+    @pytest.mark.parametrize("entry", TRANSCRIPTS, ids=_TRANSCRIPT_IDS)
+    def test_out_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path, entry):
+        target = tmp_path / "report"
+        code, out, err = replay(capsys, monkeypatch, entry, "--out", str(target))
+        assert (code, out) == (entry["exit"], "")
+        assert (target.read_text() if target.exists() else "") == entry["stdout"]
+        if entry["stderr"] is not None:
+            assert err == entry["stderr"]
+
+    def test_every_command_and_format_is_pinned(self):
+        pinned = {
+            (entry["argv"][0], entry["argv"][entry["argv"].index("--format") + 1])
+            for entry in TRANSCRIPTS
+            if entry["exit"] != 2 and "--format" in entry["argv"]
+        }
+        assert pinned == {
+            (command, fmt) for command, (_, _, formats) in _FLAGS.items() for fmt in formats
+        }
 
 
 class _BrokenStdout(io.StringIO):
