@@ -1,5 +1,11 @@
 """Command-line front end: every subcommand is a thin adapter over the
-library, producing byte-deterministic csv, json, or table reports.
+library, and ``_render`` writes its report in the chosen format, byte for
+byte the same on every run:
+
+- json: the report's dict (``as_json_dict()``, but for count), indented by 2;
+- csv: a header line, then one comma-separated line per row;
+- table: the header and rows in right-aligned columns, then the note lines,
+  the verdict last. ``map``, ``basis`` and ``survey`` are free text: notes only.
 
 Exit codes: 0 verified/equal/success, 1 verification failed (report carries
 the counterexample), 2 usage error (an unwritable --out or stdout included),
@@ -135,19 +141,20 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _table(rows: list[list], header: list[str]) -> str:
-    widths = [len(h) for h in header]
-    cells = [[str(c) for c in row] for row in rows]
-    for row in cells:
-        for t, c in enumerate(row):
-            widths[t] = max(widths[t], len(c))
-    def fmt(row):
-        return "  ".join(str(c).rjust(widths[t]) for t, c in enumerate(row))
-    return "\n".join([fmt(header)] + [fmt(r) for r in cells]) + "\n"
+def _render(fmt: str, doc: dict, header=(), rows=(), notes=(), csv=None) -> str:
+    """One report in one format. JSON is ``doc``; CSV is the rows of ``csv``
+    (its header first), else ``header`` and ``rows``; a table is ``header``
+    and ``rows`` right-aligned in columns, then one line per note."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(map(str, row)) for row in csv or [header, *rows]]
+    else:
+        cells = [[str(c) for c in row] for row in ([header, *rows] if header else [])]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
+        lines.extend(notes)
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_count(args) -> tuple[int, str]:
@@ -155,18 +162,13 @@ def cmd_count(args) -> tuple[int, str]:
     seq = count_sequence(
         _check_n(args.n), basis, parallel=not args.no_parallel, node_budget=_budget(args)
     )
-    if args.format == "csv":
-        return EXIT_OK, seq.csv()
-    if args.format == "json":
-        return EXIT_OK, _dump_json(
-            {
-                "class": basis.label,
-                "max_n": args.n,
-                "method": seq.method,
-                "counts": [list(pair) for pair in seq.counts],
-            }
-        )
-    return EXIT_OK, _table([[n, c] for n, c in seq.counts], ["n", "count"])
+    doc = {
+        "class": basis.label,
+        "max_n": args.n,
+        "method": seq.method,
+        "counts": [list(pair) for pair in seq.counts],
+    }
+    return EXIT_OK, _render(args.format, doc, ["n", "count"], seq.counts)
 
 
 def cmd_verify_wilf(args) -> tuple[int, str]:
@@ -176,28 +178,23 @@ def cmd_verify_wilf(args) -> tuple[int, str]:
         left, right, _check_n(args.n), parallel=not args.no_parallel, node_budget=_budget(args)
     )
     code = EXIT_OK if report.equal else EXIT_FAILED
-    if args.format == "json":
-        return code, _dump_json(report.as_json_dict())
-    if args.format == "csv":
-        out = "n,left,right\n" + "".join(
-            f"{n},{a},{b}\n"
-            for (n, a), (_, b) in zip(report.left.counts, report.right.counts)
-        )
-        return code, out
-    rows = [
-        [n, a, b, "=" if a == b else "!"]
-        for (n, a), (_, b) in zip(report.left.counts, report.right.counts)
-    ]
+    pairs = [(n, a, b) for (n, a), (_, b) in zip(report.left.counts, report.right.counts)]
+    rows = [(n, a, b, "=" if a == b else "!") for n, a, b in pairs]
     verdict = "equal" if report.equal else f"diverges at n={report.diverges_at}"
-    return code, _table(rows, ["n", "left", "right", ""]) + f"verdict: {verdict}\n"
+    return code, _render(
+        args.format,
+        report.as_json_dict(),
+        ["n", "left", "right", ""],
+        rows,
+        [f"verdict: {verdict}"],
+        csv=[("n", "left", "right"), *pairs],
+    )
 
 
 def cmd_map(args) -> tuple[int, str]:
     p = parse_perm(args.perm)
     result = apply_named_map(args.map_name, p, args.k, i=args.i, j=args.j)
-    if args.format == "json":
-        return EXIT_OK, _dump_json(result.as_json_dict())
-    return EXIT_OK, format_perm(result.output) + "\n"
+    return EXIT_OK, _render(args.format, result.as_json_dict(), notes=[format_perm(result.output)])
 
 
 def cmd_certify(args) -> tuple[int, str]:
@@ -210,49 +207,37 @@ def cmd_certify(args) -> tuple[int, str]:
         node_budget=_budget(args),
     )
     code = EXIT_OK if report.certified else EXIT_FAILED
-    if args.format == "json":
-        return code, _dump_json(report.as_json_dict())
-    rows = [
-        [
-            r["n"],
-            r["source_size"],
-            r["target_size"],
-            r["image_size"],
-            r["injective"],
-            r["surjective"],
-            r["roundtrip_ok"],
-        ]
-        for r in report.rows
-    ]
     head = ["n", "source", "target", "image", "injective", "surjective", "roundtrip"]
-    verdict = "certified" if report.certified else "FAILED"
-    return code, _table(rows, head) + f"{report.expectation}: {verdict}\n"
+    keys = [
+        "n", "source_size", "target_size", "image_size", "injective", "surjective", "roundtrip_ok"
+    ]
+    rows = [[r[key] for key in keys] for r in report.rows]
+    notes = []
+    w = report.counterexample
+    if w is not None:
+        arrow = f": {w['input']} -> {w['output']}" if "input" in w else ""
+        back = f", recovered {w['recovered']}" if "recovered" in w else ""
+        notes.append(f"counterexample: n={w['n']}, {w['reason']}{arrow}{back}")
+    notes.append(f"{report.expectation}: {'certified' if report.certified else 'FAILED'}")
+    return code, _render(args.format, report.as_json_dict(), head, rows, notes)
 
 
 def cmd_basis(args) -> tuple[int, str]:
     result = discover_basis(args.k, args.j, _check_n(args.n), node_budget=_budget(args))
     code = EXIT_OK if result.matches_predicted in (True, None) else EXIT_FAILED
-    if args.format == "json":
-        return code, _dump_json(result.as_json_dict())
-    lines = ["discovered basis (minimal non-members of the image):"]
-    lines.extend(f"  {format_perm(q)}" for q in result.discovered)
+    notes = ["discovered basis (minimal non-members of the image):"]
+    notes.extend(f"  {format_perm(q)}" for q in result.discovered)
     if result.predicted is not None:
-        lines.append(f"predicted: {result.predicted.label}")
-        lines.append(f"match: {result.matches_predicted}")
-    return code, "\n".join(lines) + "\n"
+        notes.append(f"predicted: {result.predicted.label}")
+        notes.append(f"match: {result.matches_predicted}")
+    return code, _render(args.format, result.as_json_dict(), notes=notes)
 
 
 def cmd_sandwich(args) -> tuple[int, str]:
     report = sandwich_check(args.k, args.j, _check_n(args.n), node_budget=_budget(args))
-    if args.format == "json":
-        return EXIT_OK, _dump_json(report.as_json_dict())
-    if args.format == "csv":
-        out = "n,lower,mid,upper\n" + "".join(
-            f"{r['n']},{r['lower']},{r['mid']},{r['upper']}\n" for r in report.rows
-        )
-        return EXIT_OK, out
-    rows = [[r["n"], r["lower"], r["mid"], r["upper"]] for r in report.rows]
-    return EXIT_OK, _table(rows, ["n", "lower", "mid", "upper"]) + "verdict: holds\n"
+    head = ["n", "lower", "mid", "upper"]
+    rows = [[r[key] for key in head] for r in report.rows]
+    return EXIT_OK, _render(args.format, report.as_json_dict(), head, rows, ["verdict: holds"])
 
 
 def cmd_growth(args) -> tuple[int, str]:
@@ -269,28 +254,20 @@ def cmd_growth(args) -> tuple[int, str]:
         parallel=not args.no_parallel,
         node_budget=_budget(args),
     )
-    if args.format == "json":
-        return EXIT_OK, _dump_json(diag.as_json_dict())
-    if args.format == "csv":
-        return EXIT_OK, diag.counts.csv()
     roots = dict(diag.roots)
-    ratios = dict(diag.ratios)
-    rows = []
-    for n, c in diag.counts.counts:
-        ratio = ratios.get(n)
-        rows.append(
-            [
-                n,
-                c,
-                f"{ratio.numerator}/{ratio.denominator}" if ratio else "-",
-                roots.get(n, "-"),
-            ]
-        )
-    out = _table(rows, ["n", "count", "ratio", "root"])
-    out += "note: finite-n diagnostics\n"
+    ratios = {n: f"{r.numerator}/{r.denominator}" for n, r in diag.ratios}
+    rows = [(n, c, ratios.get(n, "-"), roots.get(n, "-")) for n, c in diag.counts.counts]
+    notes = ["note: finite-n diagnostics"]
     if diag.reference_bounds:
-        out += f"reference bounds: {diag.reference_bounds[0]}, {diag.reference_bounds[1]}\n"
-    return EXIT_OK, out
+        notes.append("reference bounds: {}, {}".format(*diag.reference_bounds))
+    return EXIT_OK, _render(
+        args.format,
+        diag.as_json_dict(),
+        ["n", "count", "ratio", "root"],
+        rows,
+        notes,
+        csv=[("n", "count"), *diag.counts.counts],
+    )
 
 
 def cmd_survey(args) -> tuple[int, str]:
@@ -298,18 +275,13 @@ def cmd_survey(args) -> tuple[int, str]:
     report = survey_almost_distant(
         q, _check_n(args.n), parallel=not args.no_parallel, node_budget=_budget(args)
     )
-    if args.format == "json":
-        return EXIT_EXPERIMENT, _dump_json(report.as_json_dict())
-    if args.format == "csv":
-        out = "group,j,i\n"
-        for g, (_, specs) in enumerate(report.groups):
-            out += "".join(f"{g},{j},{i}\n" for j, i in specs)
-        return EXIT_EXPERIMENT, out
-    lines = ["EXPERIMENT: empirical Wilf groups"]
+    notes = ["EXPERIMENT: empirical Wilf groups"]
     for g, (counts, specs) in enumerate(report.groups):
-        lines.append(f"group {g}: specs {list(specs)}")
-        lines.append(f"  counts {list(counts)}")
-    return EXIT_EXPERIMENT, "\n".join(lines) + "\n"
+        notes.append(f"group {g}: specs {list(specs)}")
+        notes.append(f"  counts {list(counts)}")
+    csv = [("group", "j", "i")]
+    csv.extend((g, j, i) for g, (_, specs) in enumerate(report.groups) for j, i in specs)
+    return EXIT_EXPERIMENT, _render(args.format, report.as_json_dict(), notes=notes, csv=csv)
 
 
 _COMMANDS = {

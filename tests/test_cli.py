@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import patlab
+from patlab import verification
 from patlab.cli import main
 from patlab.patterns import MAX_UNDERLYING
 
@@ -253,6 +254,40 @@ class TestCertify:
         assert doc["expectation"] == "injection"
 
 
+def _identity_map(p, *args):
+    return p, ()
+
+
+def _constant_map(p, *args):
+    return tuple(range(len(p), 0, -1)), ()
+
+
+class TestCertifyFailures:
+    """A broken kernel patched into verification: the table names the witness
+    on the line before the verdict, which stays last."""
+
+    @pytest.mark.parametrize("argv, attr, broken, tail", [
+        (["--map", "F", "--k", "3", "--i", "0"], "_f_kernel", _identity_map, [
+            "counterexample: n=4, image leaves the target class: 1324 -> 1324",
+            "bijection: FAILED",
+        ]),
+        (["--map", "H", "--k", "4", "--j", "3"], "_window_kernel", _constant_map, [
+            "counterexample: n=2, two inputs share an output",
+            "injection: FAILED",
+        ]),
+        (["--map", "G", "--k", "3"], "_window_kernel", _constant_map, [
+            "counterexample: n=2, roundtrip failed: 12 -> 21, recovered 21",
+            "bijection: FAILED",
+        ]),
+    ], ids=["F-identity", "H-constant", "G-constant"])
+    def test_table_names_the_witness(self, capsys, monkeypatch, argv, attr, broken, tail):
+        monkeypatch.setattr(verification, attr, broken)
+        code, out, _ = run(capsys, "certify", *argv, "--n", "5")
+        assert code == 1
+        assert out.splitlines()[-2:] == tail
+        assert out.endswith(": FAILED\n")
+
+
 class TestBasis:
     def test_discovery_matches_prediction(self, capsys):
         code, out, _ = run(
@@ -293,6 +328,15 @@ class TestGrowth:
         code, out, _ = run(capsys, "growth", "--class", expr, "--n", "5", "--format", "json")
         assert code == 0
         assert json.loads(out)["reference_bounds"] == bounds
+
+    def test_table_ratios_match_json(self, capsys):
+        # Av_n(1) is empty for n >= 1: the ratio at n=1 is 0/1, not a blank
+        _, table, _ = run(capsys, "growth", "--class", "1", "--n", "3")
+        _, doc, _ = run(capsys, "growth", "--class", "1", "--n", "3", "--format", "json")
+        rows = [line.split() for line in table.splitlines()[1:5]]
+        assert {int(n): ratio for n, _, ratio, _ in rows if ratio != "-"} == {
+            r["n"]: r["ratio"] for r in json.loads(doc)["ratios"]
+        }
 
     def test_table_labels_diagnostics(self, capsys):
         code, out, _ = run(capsys, "growth", "--class", "123", "--n", "5")
