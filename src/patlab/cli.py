@@ -184,7 +184,7 @@ def cmd_verify_wilf(args) -> tuple[int, str]:
     return code, _render(
         args.format,
         report.as_json_dict(),
-        ["n", "left", "right", ""],
+        ["n", "left", "right", "eq"],
         rows,
         [f"verdict: {verdict}"],
         csv=[("n", "left", "right"), *pairs],
@@ -207,9 +207,10 @@ def cmd_certify(args) -> tuple[int, str]:
         node_budget=_budget(args),
     )
     code = EXIT_OK if report.certified else EXIT_FAILED
-    head = ["n", "source", "target", "image", "injective", "surjective", "roundtrip"]
+    head = ["n", "source", "target", "image", "in_target", "injective", "surjective", "roundtrip"]
     keys = [
-        "n", "source_size", "target_size", "image_size", "injective", "surjective", "roundtrip_ok"
+        "n", "source_size", "target_size", "image_size", "image_in_target",
+        "injective", "surjective", "roundtrip_ok",
     ]
     rows = [[r[key] for key in keys] for r in report.rows]
     notes = []

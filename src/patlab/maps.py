@@ -23,9 +23,17 @@ Each construction has one body, an output-only kernel that checks nothing
 and builds no record: ``_f_kernel`` returns F's output and its landing map,
 ``_finv_kernel`` Finv's output, and ``_window_kernel`` the output and the
 reversal windows of G (both ways), H, ``naive_reverse_H`` and, through
-reverse-complement, ``map_H_conjugate``. The public maps wrap a kernel in
-the class checks (``_enter``) and the ``MapResult`` (``_result``);
-certification and basis discovery call the kernels directly.
+reverse-complement, ``map_H_conjugate``. A kernel classifies ranks while it
+scans: one left-to-right patience pass (``perms._up_runs``) gives ``up``,
+and one right-to-left pass finds each position's ``down`` and sorts the
+position into its role on the spot. A set difference of two ranks has an
+exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
+capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
+returns its input unchanged when nothing moves. ``lis_tables`` is the
+reference for the rank tables and the source of the report-only A and C
+sets of ``role_sets``. The public maps wrap a kernel in the class checks
+(``_enter``) and the ``MapResult`` (``_result``); certification and basis
+discovery call the kernels directly.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -34,13 +42,14 @@ permutation values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
 from .enumeration import avoids_basis
 from .errors import DomainError, InternalCheckError, NotInImageError, UsageError
 from .patterns import PatternBasis, monotone_basis
-from .perms import Perm, format_perm, lis_tables, reverse_complement
+from .perms import Perm, _up_runs, format_perm, lis_tables, reverse_complement
 
 __all__ = [
     "RoleSets",
@@ -201,52 +210,22 @@ def _result(
 
 def _capable(up: tuple[int, ...], down: tuple[int, ...], k: int, r: int, skip=()) -> list[int]:
     """Positions outside ``skip`` that can act as rank r of 12...k, by ``lis_tables``."""
-    # a loop: on Python 3.11 a comprehension costs one more frame per call
     need = k - r + 1
-    out = []
-    for t in range(len(up)):
-        if up[t] >= r and down[t] >= need and t not in skip:
-            out.append(t)
-    return out
-
-
-def _landing(p: Perm, k: int, i: int, up, down):
-    """B (the rank-(i+1)-capable positions), C (the rank-(i+2)-capable ones
-    outside B, None for the end anchor) and the landing map f of one F step."""
-    b = _capable(up, down, k, i + 1)
-    c = None if i == k - 1 else _capable(up, down, k, i + 2, b)
-    f: list[tuple[int, int | None]] = []
-    for t in b:
-        landing = None  # stays None for the end anchor
-        for cpos in c or ():
-            if p[cpos] > p[t]:
-                landing = cpos
-        if landing is None and c is not None:
-            # unreachable: a longest increasing run from t has down values
-            # down[t], ..., 1, and down[t] >= k-i > k-i-1 >= 1, so some later,
-            # larger u on it has down[u] == k-i-1 and up[u] >= up[t]+1 >= i+2:
-            # rank-(i+2)-capable, outside B, so a landing entry above t. Kept
-            # as a counterexample detector.
-            raise InternalCheckError(
-                f"no landing entry above value {p[t]} in {format_perm(p)} "
-                f"(k={k}, i={i}); input violates the step's guarantees"
-            )
-        f.append((t, landing))
-    return b, c, f
+    return [t for t in range(len(up)) if up[t] >= r and down[t] >= need and t not in skip]
 
 
 def _move(p: Perm, f) -> Perm:
     """Move every B entry of the landing map ``f`` directly before its
     landing entry (end anchor: to the end), ties in increasing order;
     everything else keeps its order."""
-    moving = set()
+    moving = 0
     pending: dict[int | None, list[int]] = defaultdict(list)  # None: the end anchor
     for b, c in f:
-        moving.add(b)
+        moving |= 1 << b
         pending[c].append(p[b])
     out: list[int] = []
     for t in range(len(p)):
-        if t in moving:
+        if moving >> t & 1:
             continue
         if t in pending:
             out.extend(sorted(pending[t]))
@@ -256,8 +235,47 @@ def _move(p: Perm, f) -> Perm:
 
 
 def _f_kernel(p: Perm, k: int, i: int):
-    """F with no checks and no record: (output, landing map)."""
-    _, _, f = _landing(p, k, i, *lis_tables(p))
+    """F with no checks and no record: (output, landing map f).
+
+    ``up`` comes first; one right-to-left patience pass then finds each
+    position's ``down`` and sorts it on the spot. B (rank-(i+1)-capable) is
+    up >= i+1 and down >= k-i; C (rank-(i+2)-capable, outside B) is exactly
+    up >= i+2 and down == k-i-1. The landing entry of a B entry t is the
+    first larger C entry met, so the rightmost larger one; it always lies
+    right of t (see the raise). f pairs each B position, ascending, with its
+    landing position (None for the end anchor, i = k-1, where no C exists)."""
+    n = len(p)
+    up = _up_runs(p)
+    need = k - i
+    tails = [0] + [n + 1] * n  # patience tails on the complemented values
+    cs: list[int] = []
+    f: list[tuple[int, int | None]] = []
+    for t in range(n - 1, -1, -1):
+        pt = p[t]
+        v = n + 1 - pt
+        d = bisect_left(tails, v)
+        tails[d] = v
+        if up[t] > i and d >= need:
+            landing = None  # stays None for the end anchor
+            for c in cs:
+                if p[c] > pt:
+                    landing = c
+                    break
+            if landing is None and i < k - 1:
+                # unreachable: a longest increasing run from t has down values
+                # down[t], ..., 1, and down[t] >= k-i > k-i-1 >= 1, so some later,
+                # larger u on it has down[u] == k-i-1 and up[u] >= up[t]+1 >= i+2:
+                # in C and met before t. Kept as a counterexample detector.
+                raise InternalCheckError(
+                    f"no landing entry above value {pt} in {format_perm(p)} "
+                    f"(k={k}, i={i}); input violates the step's guarantees"
+                )
+            f.append((t, landing))
+        elif up[t] > i + 1 and d == need - 1:
+            cs.append(t)
+    if not f:
+        return p, f
+    f.reverse()
     return _move(p, f), f
 
 
@@ -266,15 +284,21 @@ def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
     start anchor for i = 0), C (rank-(i+2)-capable outside B, or the end
     anchor for i = k-1), and the landing map f."""
     _enter("F", p, k, i, validate)
+    return _roles(p, k, i, _f_kernel(p, k, i)[1])
+
+
+def _roles(p: Perm, k: int, i: int, f) -> RoleSets:
+    """The ``RoleSets`` of one F step: B and f from ``_f_kernel``'s landing
+    map ``f``, the report-only A and C from ``lis_tables``."""
+    b = [t for t, _ in f]
     up, down = lis_tables(p)
-    b, c, f = _landing(p, k, i, up, down)
     return RoleSets(
         perm=p,
         k=k,
         i=i,
         b_positions=tuple(b),
         a_positions=None if i == 0 else tuple(_capable(up, down, k, i, b)),
-        c_positions=None if c is None else tuple(c),
+        c_positions=None if i == k - 1 else tuple(_capable(up, down, k, i + 2, b)),
         f_map=tuple(f),
     )
 
@@ -282,16 +306,36 @@ def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
 def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     """Move every B entry directly before its landing entry (end anchor for
     i = k-1), ties in increasing order; everything else keeps its order."""
-    roles = role_sets(p, k, i, validate)
-    target = map_classes("F", k, i)[1] if validate else None
-    return _result("F", p, k, _move(p, roles.f_map), (("i", i),), target, roles=roles)
+    target = _enter("F", p, k, i, validate)
+    output, f = _f_kernel(p, k, i)
+    return _result("F", p, k, output, (("i", i),), target, roles=_roles(p, k, i, f))
 
 
 def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
-    """Finv with no checks and no record: the reconstructed preimage."""
-    up, down = lis_tables(w)
-    b = _capable(up, down, k, i + 1)
-    a = _capable(up, down, k, i, b) if i else []
+    """Finv with no checks and no record: the reconstructed preimage.
+
+    One right-to-left patience pass after ``up`` sorts each position: A
+    (rank-i-capable, outside B) is exactly up == i and down >= k-i+1, B
+    (rank-(i+1)-capable) up >= i+1 and down >= k-i. Each B entry's partner
+    is the leftmost earlier, smaller A entry (the start anchor for i = 0)."""
+    n = len(w)
+    up = _up_runs(w)
+    need = k - i
+    tails = [0] + [n + 1] * n  # patience tails on the complemented values
+    a: list[int] = []
+    b: list[int] = []
+    for t in range(n - 1, -1, -1):
+        v = n + 1 - w[t]
+        d = bisect_left(tails, v)
+        tails[d] = v
+        if up[t] == i and d > need:
+            a.append(t)
+        elif up[t] > i and d >= need:
+            b.append(t)
+    if not b:
+        return w
+    a.reverse()
+    moving = 0
     attach: dict[int, list[int]] = defaultdict(list)  # -1: the start anchor
     for t in b:
         partner = None if i else -1
@@ -311,10 +355,11 @@ def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
                 f"{format_perm(w)} is not in the image of the step "
                 f"(k={k}, i={i}): value {w[t]} has no partner entry"
             )
+        moving |= 1 << t
         attach[partner].append(w[t])
     out = sorted(attach[-1])
-    for t in range(len(w)):
-        if t in b:
+    for t in range(n):
+        if moving >> t & 1:
             continue
         out.append(w[t])
         if t in attach:
@@ -348,27 +393,38 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
     checks and no record: (output, windows).
 
     Anchors are the rank-capable entries, minus the (rank-1)-capable ones
-    when ``exclude_lower``; h(a) is the leftmost smaller entry that can act
-    as rank-1 toward the anchor. Windows must come out pairwise disjoint on
-    class members; overlap means the input was outside the class.
+    when ``exclude_lower``; one right-to-left patience pass after ``up``
+    finds them: up >= rank and down >= k-rank+1, and with
+    ``exclude_lower`` exactly down == k-rank+1. h(a) is the leftmost
+    earlier, smaller entry with up >= rank-1, one that can act as rank-1
+    toward the anchor. Windows must come out pairwise disjoint on class
+    members; overlap means the input was outside the class.
     """
-    up, down = lis_tables(p)
-    lower = _capable(up, down, k, rank - 1) if exclude_lower else ()
-    anchors = _capable(up, down, k, rank, lower)
+    n = len(p)
+    up = _up_runs(p)
+    need = k - rank + 1
+    tails = [0] + [n + 1] * n  # patience tails on the complemented values
     windows: list[tuple[int, int]] = []
-    for a in anchors:
+    for a in range(n - 1, -1, -1):
         pa = p[a]
-        h = None
-        for t in range(a):
-            if p[t] < pa and up[t] >= rank - 1:
-                h = t
-                break
-        if h is None:
-            raise InternalCheckError(
-                f"anchor value {pa} in {format_perm(p)} has no window start "
-                f"(k={k}, rank={rank}); input violates the map's guarantees"
-            )
-        windows.append((h, a))
+        v = n + 1 - pa
+        d = bisect_left(tails, v)
+        tails[d] = v
+        if up[a] >= rank and (d == need or d > need and not exclude_lower):
+            for h in range(a):
+                if p[h] < pa and up[h] >= rank - 1:
+                    break
+            else:
+                # unreachable: up[a] >= rank >= 2, so a longest increasing run
+                # ending at a has an earlier, smaller entry with up == up[a]-1
+                # >= rank-1. Kept as a counterexample detector.
+                raise InternalCheckError(
+                    f"anchor value {pa} in {format_perm(p)} has no window start "
+                    f"(k={k}, rank={rank}); input violates the map's guarantees"
+                )
+            windows.append((h, a))
+    if not windows:
+        return p, windows
     windows.sort()
     for (s1, e1), (s2, _) in zip(windows, windows[1:]):
         if e1 > s2:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import UsageError
 
@@ -169,32 +169,37 @@ def direct_sum(p: Perm, q: Perm) -> Perm:
     return p + tuple(v + shift for v in q)
 
 
-def lis_tables(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(up, down): longest increasing run ending / starting at each index.
+def _up_runs(p: Sequence[int]) -> list[int]:
+    """The longest increasing run ending at each index, the index included,
+    in the patience form: ``tails[r]`` is the least value that ends an
+    increasing run of length r so far (``tails[0] = 0`` lies below every
+    value), so the run ending at p[t] has length ``bisect_left(tails, p[t])``.
 
-    Both are inclusive of the index itself, computed in the patience form,
-    one pass per direction: ``tails[r]`` is the least value that ends an
-    increasing run of length r + 1 so far, so the run ending at p[t] has
-    length ``bisect_left(tails, p[t]) + 1``. ``down`` is the same pass run
-    right to left on the complemented values n + 1 - p[t].
-
-    >>> lis_tables((2, 3, 1, 4))
-    ((1, 2, 1, 3), (3, 2, 2, 1))
+    >>> _up_runs((2, 3, 1, 4))
+    [1, 2, 1, 3]
     """
     n = len(p)
     # n + 1 exceeds every value, so unfilled tails never count as smaller
-    tails = [n + 1] * n
+    tails = [0] + [n + 1] * n
     up = []
     for v in p:
         r = bisect_left(tails, v)
         tails[r] = v
-        up.append(r + 1)
-    tails = [n + 1] * n
-    down = []
-    for v in reversed(p):
-        v = n + 1 - v
-        r = bisect_left(tails, v)
-        tails[r] = v
-        down.append(r + 1)
+        up.append(r)
+    return up
+
+
+def lis_tables(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up, down): longest increasing run ending / starting at each index.
+
+    Both are inclusive of the index itself and come from ``_up_runs``, one
+    pass per direction: ``down`` is ``up`` of the reverse-complement, read
+    backwards.
+
+    >>> lis_tables((2, 3, 1, 4))
+    ((1, 2, 1, 3), (3, 2, 2, 1))
+    """
+    n1 = len(p) + 1
+    down = _up_runs([n1 - v for v in reversed(p)])
     down.reverse()
-    return tuple(up), tuple(down)
+    return tuple(_up_runs(p)), tuple(down)

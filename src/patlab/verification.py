@@ -138,34 +138,11 @@ class CertifyReport:
         }
 
 
-def _masked_member(w: Perm, masks: dict[Perm, int]) -> bool:
-    """Membership of ``w`` in the class whose ``avoider_masks`` are ``masks``:
-    w without its maximum is a key whose mask has the slot of that maximum
-    live. The empty permutation has no parent and reads False."""
-    n = len(w)
-    if not n:
-        return False
-    s = w.index(n)
-    dead = masks.get(w[:s] + w[s + 1 :])
-    return dead is not None and not dead >> s & 1
-
-
-def _add_bit(bits: dict[Perm, int], w: Perm, beside: dict[Perm, int] | None = None) -> bool:
-    """Set the bit of nonempty ``w`` in ``bits``, keyed like ``avoider_masks``
-    by w without its maximum; False when it was set already. When that key
-    is a key of ``beside`` (an ``avoider_masks`` dict), the bit goes there
-    instead, above the key's len(w) dead-slot bits, so the key is not
-    stored twice."""
-    n = len(w)
-    s = w.index(n)
-    key = w[:s] + w[s + 1 :]
-    old = None if beside is None else beside.get(key)
-    if old is None:
-        old = bits.get(key, 0)
-    else:
-        bits, s = beside, s + n
-    bits[key] = old | 1 << s
-    return not old >> s & 1
+def _split(w: Perm) -> tuple[Perm, int]:
+    """Nonempty ``w`` as an ``avoider_masks`` key and bit: w without its
+    maximum, and the slot of that maximum."""
+    s = w.index(len(w))
+    return w[:s] + w[s + 1 :], s
 
 
 def _unpack(bits: dict[Perm, int], n: int):
@@ -250,7 +227,13 @@ def certify_map(
         n = len(p)
         w, extra = forward(p)
         bad = None
-        if not _masked_member(w, masks) and not avoids_basis(w, target):
+        # one key and slot per image: the membership bit, then the hit bit
+        # (above the key's n dead-slot bits, or in ``hits``)
+        dead = None
+        if n:
+            key, s = _split(w)
+            dead = masks.get(key)
+        if (dead is None or dead >> s & 1) and not avoids_basis(w, target):
             escaped[n] = True
             bad = {
                 "n": n,
@@ -277,8 +260,14 @@ def certify_map(
                 }
         if bad is not None and (least[n] is None or p < least[n][0]):
             least[n] = (p, bad)
-        if n and not _add_bit(hits, w, masks):
-            collided[n] = True
+        if n:
+            if dead is None:
+                bits, old = hits, hits.get(key, 0)
+            else:
+                bits, old, s = masks, dead, s + n
+            if old >> s & 1:
+                collided[n] = True
+            bits[key] = old | 1 << s
 
     src_sizes = walk_avoiders(source, max_n, visit, node_budget=node_budget)
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
@@ -424,7 +413,9 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     def visit(p: Perm, _mask) -> None:
         w = _window_kernel(p, k, j, False)[0]
         if w:  # H maps () to itself
-            _add_bit(image[len(w)], w)
+            key, s = _split(w)
+            level = image[len(w)]
+            level[key] = level.get(key, 0) | 1 << s
 
     sizes = walk_avoiders(map_classes("H", k, j)[0], max_len, visit, node_budget=node_budget)
     for n in range(1, max_len + 1):

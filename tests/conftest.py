@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
 from patlab import count_sequence, levels_avoiders, lis_tables, map_H, monotone_basis
+from patlab.errors import InternalCheckError, NotInImageError
 
 settings.register_profile(
     "patlab",
@@ -110,6 +111,76 @@ def oracle_discover_basis(k, j, max_len):
             elif inside:
                 minimal.add(q)
     return minimal, tuple((n, len(image[n])) for n in range(max_len + 1))
+
+
+# -- reference map kernels ---------------------------------------------------
+#
+# One reference per output-only kernel in ``patlab.maps``, by the definitions
+# on the rank tables of ``oracle_lis_tables``: an entry is capable for rank r
+# iff up >= r and down >= k-r+1, and every role set is a set difference of
+# those. Each returns what its kernel returns, or raises the same error class.
+
+
+def _capable_set(tables, k, r):
+    need = k - r + 1
+    return {t for t, (u, d) in enumerate(zip(*tables)) if u >= r and d >= need}
+
+
+def _ordered(p, keys):
+    """The values of ``p`` sorted by the key of their position."""
+    return tuple(p[t] for t in sorted(range(len(p)), key=keys.__getitem__))
+
+
+def reference_f(p, k, i, tables):
+    """(output, landing map) of F: each B entry lands before the rightmost
+    larger C entry (the end anchor for i = k-1), ties by value."""
+    b = _capable_set(tables, k, i + 1)
+    c = None if i == k - 1 else _capable_set(tables, k, i + 2) - b
+    f = []
+    for t in sorted(b):
+        larger = [u for u in c or () if p[u] > p[t]]
+        if c is not None and not larger:
+            raise InternalCheckError(f"no landing entry above {p[t]}")
+        f.append((t, max(larger) if larger else None))
+    keys = {t: (t, 1, 0) for t in range(len(p))}
+    keys.update((t, (len(p) if u is None else u, 0, p[t])) for t, u in f)
+    return _ordered(p, keys), f
+
+
+def reference_finv(w, k, i, tables):
+    """Finv's output: each B entry goes right after its partner, the leftmost
+    earlier, smaller A entry (the front for i = 0), ties by value."""
+    b = _capable_set(tables, k, i + 1)
+    a = _capable_set(tables, k, i) - b if i else set()
+    keys = {t: (t, 0, 0) for t in range(len(w))}
+    for t in b:
+        partners = [s for s in a if s < t and w[s] < w[t]]
+        if i and not partners:
+            raise NotInImageError(f"no partner for {w[t]}")
+        keys[t] = (min(partners) if i else -1, 1, w[t])
+    return _ordered(w, keys)
+
+
+def reference_window(p, k, rank, exclude_lower, tables):
+    """(output, windows) of the window reversal: each anchor's window starts
+    at the leftmost earlier, smaller entry with up >= rank-1."""
+    up = tables[0]
+    anchors = _capable_set(tables, k, rank)
+    if exclude_lower:
+        anchors -= _capable_set(tables, k, rank - 1)
+    windows = []
+    for a in anchors:
+        starts = [h for h in range(a) if p[h] < p[a] and up[h] >= rank - 1]
+        if not starts:
+            raise InternalCheckError(f"no window start for {p[a]}")
+        windows.append((min(starts), a))
+    windows.sort()
+    if any(e1 > s2 for (_, e1), (s2, _) in zip(windows, windows[1:])):
+        raise InternalCheckError("overlapping windows")
+    out = list(p)
+    for s, e in windows:
+        out[s:e] = reversed(out[s:e])
+    return tuple(out), windows
 
 
 def capable_values(p, k, r):

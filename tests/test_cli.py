@@ -110,6 +110,15 @@ class TestTranscripts:
         if entry["stderr"] is not None:
             assert err == entry["stderr"]
 
+    def test_no_stdout_line_ends_in_whitespace(self):
+        trailing = [
+            (entry["argv"], line)
+            for entry in TRANSCRIPTS
+            for line in entry["stdout"].splitlines()
+            if line != line.rstrip()
+        ]
+        assert trailing == []
+
     def test_every_command_and_format_is_pinned(self):
         pinned = {
             (entry["argv"][0], entry["argv"][entry["argv"].index("--format") + 1])
@@ -286,6 +295,18 @@ class TestCertifyFailures:
         assert code == 1
         assert out.splitlines()[-2:] == tail
         assert out.endswith(": FAILED\n")
+
+    def test_in_target_column_reads_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "_f_kernel", _identity_map)
+        argv = ["certify", "--map", "F", "--k", "3", "--i", "0", "--n", "5"]
+        _, out, _ = run(capsys, *argv)
+        _, doc, _ = run(capsys, *argv, "--format", "json")
+        head, *rows = out.splitlines()[:7]
+        column = head.split().index("in_target")
+        shown = {int(row.split()[0]): row.split()[column] for row in rows}
+        assert shown == {row["n"]: str(row["image_in_target"]) for row in json.loads(doc)["rows"]}
+        # the identity leaves M(3,2,2) at 1324 (n=4) and above
+        assert [n for n, cell in shown.items() if cell == "False"] == [4, 5]
 
 
 class TestBasis:

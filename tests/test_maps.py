@@ -1,13 +1,23 @@
 """The rearrangement maps: reference vectors, exhaustive roundtrips on
 enumerated classes, and the window/role invariants they rely on."""
 
+import functools
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import capable_values, monotone_counts, monotone_members, perms
+from conftest import (
+    capable_values,
+    monotone_counts,
+    monotone_members,
+    oracle_lis_tables,
+    perms,
+    reference_f,
+    reference_finv,
+    reference_window,
+)
 from patlab import (
     DomainError,
     PatlabError,
@@ -26,7 +36,7 @@ from patlab import (
     reverse_complement,
     role_sets,
 )
-from patlab.maps import _f_kernel, _finv_kernel, _window_kernel, map_classes
+from patlab.maps import _CLASS_ARGS, _f_kernel, _finv_kernel, _window_kernel, map_classes
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
@@ -441,5 +451,61 @@ class TestKernels:
                     errors += isinstance(expected[0], type)
         # the window maps refuse some non-members; F's and Finv's error
         # branches fire on no permutation at all (the arguments are at the
-        # raises in maps._landing and maps._finv_kernel)
+        # raises in maps._f_kernel and maps._finv_kernel)
         assert errors or name in ("F", "Finv")
+
+
+# Each output-only kernel by MapResult.map_name beside its reference in
+# conftest: (kernel(p, k, x), reference(p, k, x, tables)), where x is the
+# step index i or the rank j and tables are oracle_lis_tables(p).
+ORACLES = {
+    "F": (_f_kernel, reference_f),
+    "Finv": (_finv_kernel, reference_finv),
+    "G": (lambda p, k, x: _window_kernel(p, k, 2, True),
+          lambda p, k, x, tables: reference_window(p, k, 2, True, tables)),
+    "Ginv": (lambda p, k, x: _window_kernel(p, k, 2, True),
+             lambda p, k, x, tables: reference_window(p, k, 2, True, tables)),
+    "H": (lambda p, k, x: _window_kernel(p, k, x, False),
+          lambda p, k, x, tables: reference_window(p, k, x, False, tables)),
+    "HnaiveInv": (lambda p, k, x: _window_kernel(p, k, x, True),
+                  lambda p, k, x, tables: reference_window(p, k, x, True, tables)),
+}
+
+_oracle_tables = functools.cache(oracle_lis_tables)
+
+
+def _check(name, p, k, x):
+    """Kernel and reference agree on ``p``: the same output and landing map
+    or windows, or the same error class."""
+    kernel, reference = ORACLES[name]
+    tables = _oracle_tables(p)
+    try:
+        got = kernel(p, k, x)
+    except PatlabError as exc:
+        with pytest.raises(type(exc)):
+            reference(p, k, x, tables)
+        return
+    assert got == reference(p, k, x, tables), (name, x, p)
+
+
+class TestKernelOracle:
+    """Each kernel computes the bijection of its definition, not just some
+    bijection that certifies: it is checked against a reference built from
+    the rank tables of ``oracle_lis_tables``."""
+
+    @pytest.mark.parametrize("name", list(ORACLES))
+    def test_every_source_member_to_length_8(self, name):
+        k = 4
+        for x in VALIDATED[name][1](k):
+            levels = monotone_members(k, *_CLASS_ARGS[name](x)[0], 8)
+            for n in range(9):
+                for p in sorted(levels[n]):
+                    _check(name, p, k, x)
+
+    @pytest.mark.parametrize("name", list(ORACLES))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_permutation_to_length_6(self, name, k):
+        for x in VALIDATED[name][1](k):
+            for n in range(7):
+                for p in permutations(range(1, n + 1)):
+                    _check(name, p, k, x)
