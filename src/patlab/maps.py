@@ -21,19 +21,21 @@ checks, map certification and basis discovery all read it.
 
 Each construction has one body, an output-only kernel that checks nothing
 and builds no record: ``_f_kernel`` returns F's output and its landing map,
-``_finv_kernel`` Finv's output, and ``_window_kernel`` the output and the
-reversal windows of G (both ways), H, ``naive_reverse_H`` and, through
-reverse-complement, ``map_H_conjugate``. A kernel classifies ranks while it
-scans: one left-to-right patience pass (``perms._up_runs``) gives ``up``,
-and one right-to-left pass finds each position's ``down`` and sorts the
-position into its role on the spot. A set difference of two ranks has an
+and ``_window_kernel`` the output and the reversal windows of G (both
+ways), H, ``naive_reverse_H`` and, through reverse-complement,
+``map_H_conjugate``. Finv (``_finv_kernel``) is F of the mirrored step,
+conjugated by reverse-complement the same way. A kernel classifies ranks
+while it scans: one left-to-right patience pass (``perms._up_runs``) gives
+``up``, and one right-to-left pass finds each position's ``down`` and sorts
+the position into its role on the spot (``_scan`` for the A, B and C of an
+F step, which ``role_sets`` reports). A set difference of two ranks has an
 exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
 capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
-returns its input unchanged when nothing moves. ``lis_tables`` is the
-reference for the rank tables and the source of the report-only A and C
-sets of ``role_sets``. The public maps wrap a kernel in the class checks
-(``_enter``) and the ``MapResult`` (``_result``); certification and basis
-discovery call the kernels directly.
+returns its input unchanged when nothing moves. ``perms.lis_tables`` is
+only the tests' reference for the rank tables. The public maps wrap a
+kernel in the class checks (``_enter``) and the ``MapResult``
+(``_result``); certification and basis discovery call the kernels
+directly.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -49,7 +51,11 @@ from dataclasses import dataclass
 from .enumeration import avoids_basis
 from .errors import DomainError, InternalCheckError, NotInImageError, UsageError
 from .patterns import PatternBasis, monotone_basis
-from .perms import Perm, _up_runs, format_perm, lis_tables, reverse_complement
+from .perms import Perm, _up_runs, format_perm, reverse_complement
+
+# Not called here since the kernels classify ranks in their own scans, but
+# still imported: the benchmark's tracer wraps this name on this module.
+from .perms import lis_tables  # noqa: F401
 
 __all__ = [
     "RoleSets",
@@ -208,12 +214,6 @@ def _result(
     )
 
 
-def _capable(up: tuple[int, ...], down: tuple[int, ...], k: int, r: int, skip=()) -> list[int]:
-    """Positions outside ``skip`` that can act as rank r of 12...k, by ``lis_tables``."""
-    need = k - r + 1
-    return [t for t in range(len(up)) if up[t] >= r and down[t] >= need and t not in skip]
-
-
 def _move(p: Perm, f) -> Perm:
     """Move every B entry of the landing map ``f`` directly before its
     landing entry (end anchor: to the end), ties in increasing order;
@@ -234,48 +234,63 @@ def _move(p: Perm, f) -> Perm:
     return tuple(out)
 
 
-def _f_kernel(p: Perm, k: int, i: int):
-    """F with no checks and no record: (output, landing map f).
+def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
+    """The positions of A, B and C of one F step, each list right to left.
 
     ``up`` comes first; one right-to-left patience pass then finds each
     position's ``down`` and sorts it on the spot. B (rank-(i+1)-capable) is
-    up >= i+1 and down >= k-i; C (rank-(i+2)-capable, outside B) is exactly
-    up >= i+2 and down == k-i-1. The landing entry of a B entry t is the
-    first larger C entry met, so the rightmost larger one; it always lies
-    right of t (see the raise). f pairs each B position, ascending, with its
-    landing position (None for the end anchor, i = k-1, where no C exists)."""
+    up >= i+1 and down >= k-i; A (rank-i-capable, outside B) is exactly
+    up == i and down >= k-i+1; C (rank-(i+2)-capable, outside B) is exactly
+    up >= i+2 and down == k-i-1. A is empty for i = 0 and C for i = k-1."""
     n = len(p)
     up = _up_runs(p)
     need = k - i
     tails = [0] + [n + 1] * n  # patience tails on the complemented values
-    cs: list[int] = []
-    f: list[tuple[int, int | None]] = []
+    a: list[int] = []
+    b: list[int] = []
+    c: list[int] = []
     for t in range(n - 1, -1, -1):
-        pt = p[t]
-        v = n + 1 - pt
+        v = n + 1 - p[t]
         d = bisect_left(tails, v)
         tails[d] = v
         if up[t] > i and d >= need:
-            landing = None  # stays None for the end anchor
-            for c in cs:
-                if p[c] > pt:
-                    landing = c
-                    break
-            if landing is None and i < k - 1:
+            b.append(t)
+        elif up[t] > i + 1 and d == need - 1:
+            c.append(t)
+        elif up[t] == i and d > need:
+            a.append(t)
+    return a, b, c
+
+
+def _f_kernel(p: Perm, k: int, i: int):
+    """F with no checks and no record: (output, landing map f).
+
+    The landing entry of a B entry t is the rightmost larger C entry, the
+    first larger one in ``_scan``'s order; it always lies right of t (see
+    the raise). f pairs each B position, ascending, with its landing
+    position (None for the end anchor, i = k-1, where C is empty)."""
+    _, b, cs = _scan(p, k, i)
+    f: list[tuple[int, int | None]] = []
+    for t in reversed(b):
+        pt = p[t]
+        for c in cs:
+            if p[c] > pt:
+                break
+        else:
+            if i < k - 1:
                 # unreachable: a longest increasing run from t has down values
                 # down[t], ..., 1, and down[t] >= k-i > k-i-1 >= 1, so some later,
                 # larger u on it has down[u] == k-i-1 and up[u] >= up[t]+1 >= i+2:
-                # in C and met before t. Kept as a counterexample detector.
+                # in C, so the rightmost larger C entry exists and lies at or
+                # right of u. Kept as a counterexample detector.
                 raise InternalCheckError(
                     f"no landing entry above value {pt} in {format_perm(p)} "
                     f"(k={k}, i={i}); input violates the step's guarantees"
                 )
-            f.append((t, landing))
-        elif up[t] > i + 1 and d == need - 1:
-            cs.append(t)
+            c = None  # the end anchor
+        f.append((t, c))
     if not f:
         return p, f
-    f.reverse()
     return _move(p, f), f
 
 
@@ -288,17 +303,16 @@ def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
 
 
 def _roles(p: Perm, k: int, i: int, f) -> RoleSets:
-    """The ``RoleSets`` of one F step: B and f from ``_f_kernel``'s landing
-    map ``f``, the report-only A and C from ``lis_tables``."""
-    b = [t for t, _ in f]
-    up, down = lis_tables(p)
+    """The ``RoleSets`` of one F step: A, B and C from ``_scan``, the
+    landing map ``f`` from ``_f_kernel``."""
+    a, b, c = _scan(p, k, i)
     return RoleSets(
         perm=p,
         k=k,
         i=i,
-        b_positions=tuple(b),
-        a_positions=None if i == 0 else tuple(_capable(up, down, k, i, b)),
-        c_positions=None if i == k - 1 else tuple(_capable(up, down, k, i + 2, b)),
+        b_positions=tuple(reversed(b)),
+        a_positions=None if i == 0 else tuple(reversed(a)),
+        c_positions=None if i == k - 1 else tuple(reversed(c)),
         f_map=tuple(f),
     )
 
@@ -314,57 +328,13 @@ def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
 def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
     """Finv with no checks and no record: the reconstructed preimage.
 
-    One right-to-left patience pass after ``up`` sorts each position: A
-    (rank-i-capable, outside B) is exactly up == i and down >= k-i+1, B
-    (rank-(i+1)-capable) up >= i+1 and down >= k-i. Each B entry's partner
-    is the leftmost earlier, smaller A entry (the start anchor for i = 0)."""
-    n = len(w)
-    up = _up_runs(w)
-    need = k - i
-    tails = [0] + [n + 1] * n  # patience tails on the complemented values
-    a: list[int] = []
-    b: list[int] = []
-    for t in range(n - 1, -1, -1):
-        v = n + 1 - w[t]
-        d = bisect_left(tails, v)
-        tails[d] = v
-        if up[t] == i and d > need:
-            a.append(t)
-        elif up[t] > i and d >= need:
-            b.append(t)
-    if not b:
-        return w
-    a.reverse()
-    moving = 0
-    attach: dict[int, list[int]] = defaultdict(list)  # -1: the start anchor
-    for t in b:
-        partner = None if i else -1
-        for cand in a:
-            if cand >= t:
-                break
-            if w[cand] < w[t]:
-                partner = cand
-                break
-        if partner is None:
-            # unreachable: for i >= 1, a longest increasing run ending at t
-            # has up values 1, ..., up[t] with up[t] >= i+1, so some earlier,
-            # smaller s on it has up[s] == i and down[s] > down[t] >= k-i:
-            # rank-i-capable, outside B, so in A and a partner. Kept as a
-            # counterexample detector.
-            raise NotInImageError(
-                f"{format_perm(w)} is not in the image of the step "
-                f"(k={k}, i={i}): value {w[t]} has no partner entry"
-            )
-        moving |= 1 << t
-        attach[partner].append(w[t])
-    out = sorted(attach[-1])
-    for t in range(n):
-        if moving >> t & 1:
-            continue
-        out.append(w[t])
-        if t in attach:
-            out.extend(sorted(attach[t]))
-    return tuple(out)
+    Reverse-complement sends rank r to rank k+1-r, so it turns step i's A
+    and B into step k-1-i's C and B, a partner (the leftmost earlier,
+    smaller A entry) into a landing (the rightmost later, larger C entry),
+    "right after" into "right before" and the start anchor into the end
+    anchor, and keeps ties increasing: Finv of step i is F of step k-1-i
+    conjugated by reverse-complement."""
+    return reverse_complement(_f_kernel(reverse_complement(w), k, k - 1 - i)[0])
 
 
 def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
@@ -375,8 +345,9 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     value; when several qualify, only the leftmost can be the original
     neighbor, since any candidate further left would have qualified in the
     preimage as well and collide with the uniqueness of joint (i, i+1) roles
-    there. With ``validate`` the reconstruction is confirmed by re-applying
-    the forward map.
+    there. ``_finv_kernel`` computes it as F of step k-1-i conjugated by
+    reverse-complement. With ``validate`` the reconstruction is confirmed by
+    re-applying the forward map.
     """
     target = _enter("Finv", w, k, i, validate)
     output = _finv_kernel(w, k, i)

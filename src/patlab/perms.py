@@ -156,7 +156,7 @@ def reverse_complement(p: Perm) -> Perm:
     (1, 4, 2, 3)
     """
     n1 = len(p) + 1
-    return tuple(n1 - v for v in reversed(p))
+    return tuple([n1 - v for v in reversed(p)])
 
 
 def direct_sum(p: Perm, q: Perm) -> Perm:

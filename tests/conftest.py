@@ -147,6 +147,16 @@ def reference_f(p, k, i, tables):
     return _ordered(p, keys), f
 
 
+def reference_roles(p, k, i, tables):
+    """(A, B, C, f) of ``role_sets``: B is capable for i+1, A for i and C for
+    i+2, both outside B (None for the start and the end anchor), each as
+    ascending positions, and f as ``reference_f``."""
+    b = _capable_set(tables, k, i + 1)
+    a = None if i == 0 else tuple(sorted(_capable_set(tables, k, i) - b))
+    c = None if i == k - 1 else tuple(sorted(_capable_set(tables, k, i + 2) - b))
+    return a, tuple(sorted(b)), c, tuple(reference_f(p, k, i, tables)[1])
+
+
 def reference_finv(w, k, i, tables):
     """Finv's output: each B entry goes right after its partner, the leftmost
     earlier, smaller A entry (the front for i = 0), ties by value."""

@@ -16,6 +16,7 @@ from conftest import (
     perms,
     reference_f,
     reference_finv,
+    reference_roles,
     reference_window,
 )
 from patlab import (
@@ -509,3 +510,35 @@ class TestKernelOracle:
             for n in range(7):
                 for p in permutations(range(1, n + 1)):
                     _check(name, p, k, x)
+
+    def test_finv_on_every_source_member_to_length_7_at_k5(self):
+        # Finv of step i runs F of step k-1-i, so k=5 pairs steps 0-4, 1-3
+        # and 2 with itself
+        k = 5
+        for i in range(k):
+            levels = monotone_members(k, i + 2, i + 2, 7)
+            for n in range(8):
+                for p in sorted(levels[n]):
+                    _check("Finv", p, k, i)
+
+    def test_role_sets_on_every_source_member_to_length_8(self):
+        k = 4
+        for i in range(k):
+            levels = monotone_members(k, i + 1, i + 1, 8)
+            for n in range(9):
+                for p in sorted(levels[n]):
+                    _check_roles(p, k, i)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_role_sets_on_every_permutation_to_length_6(self, k):
+        for i in range(k):
+            for n in range(7):
+                for p in permutations(range(1, n + 1)):
+                    _check_roles(p, k, i)
+
+
+def _check_roles(p, k, i):
+    """``role_sets`` reads A, B, C and f of its definition off ``p``."""
+    roles = role_sets(p, k, i, False)
+    got = (roles.a_positions, roles.b_positions, roles.c_positions, roles.f_map)
+    assert got == reference_roles(p, k, i, _oracle_tables(p)), (k, i, p)

@@ -53,6 +53,31 @@ def test_tracer_targets_resolve():
         assert callable(getattr(module, attr, None)), (module_name, attr, span)
 
 
+def test_package_imports_are_used_or_traced():
+    # an import kept only for the tracer must be on its target list for that
+    # module, so that it goes when the target does
+    tracer = _load(PERFBENCH / "tracer.py")
+    traced = {(module, attr) for module, attr, _ in tracer.TARGETS}
+    package = pathlib.Path(patlab.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the re-exports
+        module = f"patlab.{path.stem}"
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and (module, name) not in traced:
+                    unused.append((module, name))
+    assert unused == []
+
+
 @pytest.mark.parametrize("script", ["probe.py", "make_reference.py", "run.py"])
 def test_benchmark_imports_resolve(script):
     pairs = _patlab_imports(PERFBENCH / script)
