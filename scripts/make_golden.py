@@ -3,7 +3,8 @@
 that it does not write.
 
 - Count CSVs and member lists come from the brute-force oracle (never the
-  tree engine: these goldens exist to check it).
+  tree engine: these goldens exist to check it). A count CSV is written by
+  the CLI's own renderer, the bytes ``count --format csv`` prints.
 - ``cli_transcripts.json`` comes from ``patlab.cli.main``, run in-process at
   small k and n. It pins the bytes of each output format, not the counts:
   for every command with each ``--format`` it takes, and for the usage
@@ -118,7 +119,7 @@ def main() -> None:
         basis = parse_class_expression(expr)
         seq = brute_force_counts(max_n, basis)
         path = GOLDEN_DIR / f"{expr}.csv"
-        path.write_text(seq.csv())
+        path.write_text(cli._render("csv", {}, ["n", "count"], seq.counts))
         written.add(path)
         print(f"wrote {path} ({seq.values()})")
     for expr, n in MEMBER_CLASSES.items():

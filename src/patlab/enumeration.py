@@ -84,11 +84,6 @@ class CountSequence:
     def values(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.counts)
 
-    def csv(self) -> str:
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in self.counts)
-        return "\n".join(lines) + "\n"
-
 
 def avoids_basis(p: Perm, basis: PatternBasis) -> bool:
     """True iff ``p`` avoids every pattern in the basis."""

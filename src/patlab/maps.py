@@ -16,8 +16,18 @@ length r ends there and one of length k-r+1 starts there):
   direction fails (see ``naive_reverse_H``), which is exactly why the image
   of H is a proper avoidance class of its own.
 
-``map_classes`` says which classes each map connects; the ``validate``
-checks, map certification and basis discovery all read it.
+Each map is defined once, by its ``MapResult.map_name`` in the table
+``_MAPS`` (F, Finv, G, Ginv, H, Hrc, HnaiveInv). An entry holds the name of
+the map's parameter (the step index i, the rank j, or G's direction), the
+(j, i) of its source and target classes M(k,j,i), its output-only kernel
+and its inverse (None for the H family). ``map_classes`` builds the classes
+from it, and ``_enter`` checks k and the parameter against it. ``_apply``
+is the one place a kernel meets its class checks and its ``MapResult``:
+every public map is ``_apply`` of its entry, and ``invert_F`` adds its
+roundtrip check. Map certification (``verification.certify_map``) and
+basis discovery take their argument checks, kernels and inverses from the
+same table, so they and the CLI refuse the same arguments with the same
+text.
 
 Each construction has one body, an output-only kernel that checks nothing
 and builds no record: ``_f_kernel`` returns F's output and its landing map,
@@ -32,10 +42,7 @@ F step, which ``role_sets`` reports). A set difference of two ranks has an
 exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
 capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
 returns its input unchanged when nothing moves. ``perms.lis_tables`` is
-only the tests' reference for the rank tables. The public maps wrap a
-kernel in the class checks (``_enter``) and the ``MapResult``
-(``_result``); certification and basis discovery call the kernels
-directly.
+only the tests' reference for the rank tables.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -47,6 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .enumeration import avoids_basis
 from .errors import DomainError, InternalCheckError, NotInImageError, UsageError
@@ -147,16 +155,36 @@ class MapResult:
         return None
 
 
-# (j, i) of the source and the target class M(k,j,i) of each map, given the
-# map's step index i (F, Finv) or rank j (H, Hrc, HnaiveInv) as x.
-_CLASS_ARGS = {
-    "F": lambda x: ((x + 1, x + 1), (x + 2, x + 2)),
-    "Finv": lambda x: ((x + 2, x + 2), (x + 1, x + 1)),
-    "G": lambda x: ((2, 2), (2, 1)),
-    "Ginv": lambda x: ((2, 1), (2, 2)),
-    "H": lambda x: ((x, x - 1), (x, x)),
-    "Hrc": lambda x: ((x, x + 1), (x, x)),
-    "HnaiveInv": lambda x: ((x, x), (x, x - 1)),
+class _Map(NamedTuple):
+    """One map, by its ``MapResult.map_name`` in ``_MAPS``."""
+
+    param: str  # the parameter x's name: "i", "j" or "direction"
+    classes: Callable  # x -> the (j, i) of the source and of the target class M(k,j,i)
+    kernel: Callable  # (p, k, x) -> (output, landing map | windows | None), no checks
+    inverse: str | None  # the inverse's map_name; None for the H family
+    direction: str | None = None  # G's parameter, fixed by its map_name
+
+
+# Each kernel is named inside a lambda, so it is looked up at call time: a
+# kernel replaced on this module is the one the maps, certification and
+# basis discovery all run.
+_MAPS = {
+    "F": _Map("i", lambda x: ((x + 1, x + 1), (x + 2, x + 2)),
+              lambda p, k, x: _f_kernel(p, k, x), "Finv"),
+    "Finv": _Map("i", lambda x: ((x + 2, x + 2), (x + 1, x + 1)),
+                 lambda w, k, x: (_finv_kernel(w, k, x), None), "F"),
+    # both directions of G are the same window reversal
+    "G": _Map("direction", lambda x: ((2, 2), (2, 1)),
+              lambda p, k, x: _window_kernel(p, k, 2, True), "Ginv", "to_21"),
+    "Ginv": _Map("direction", lambda x: ((2, 1), (2, 2)),
+                 lambda p, k, x: _window_kernel(p, k, 2, True), "G", "to_22"),
+    "H": _Map("j", lambda x: ((x, x - 1), (x, x)),
+              lambda p, k, x: _window_kernel(p, k, x, False), None),
+    # H conjugated by reverse-complement, which turns rank j into rank k+2-j
+    "Hrc": _Map("j", lambda x: ((x, x + 1), (x, x)), lambda p, k, x: (reverse_complement(
+        _window_kernel(reverse_complement(p), k, k + 2 - x, False)[0]), None), None),
+    "HnaiveInv": _Map("j", lambda x: ((x, x), (x, x - 1)),
+                      lambda p, k, x: _window_kernel(p, k, x, True), None),
 }
 
 
@@ -168,49 +196,65 @@ def map_classes(name: str, k: int, x: int | None = None) -> tuple[PatternBasis, 
     >>> [c.label for c in map_classes("H", 4, 3)]
     ['M(4,3,2)', 'M(4,3,3)']
     """
-    if name not in _CLASS_ARGS:
-        raise UsageError(f"unknown map {name!r} (expected one of {', '.join(_CLASS_ARGS)})")
-    if x is None and name not in ("G", "Ginv"):
+    if name not in _MAPS:
+        raise UsageError(f"unknown map {name!r} (expected one of {', '.join(_MAPS)})")
+    if x is None and _MAPS[name].param != "direction":
         raise UsageError(f"map {name} needs its step index or rank")
-    source, target = _CLASS_ARGS[name](x)
+    source, target = _MAPS[name].classes(x)
     return monotone_basis(k, *source), monotone_basis(k, *target)
 
 
-def _enter(name: str, p: Perm, k: int, x: int | None, validate: bool):
-    """Check the step index i or rank j ``x`` of map ``name`` (G checks its
-    own arguments) and, with ``validate``, that ``p`` lies in the source
-    class. Returns the target class to check the output against, or None."""
-    if name in ("F", "Finv"):
+def _param(name: str, i: int | None, j: int | None):
+    """The parameter of map ``name`` from a caller's ``i`` and ``j``: the one
+    its entry names, or G's fixed direction."""
+    spec = _MAPS[name]
+    x = spec.direction or (i if spec.param == "i" else j)
+    if x is None:
+        raise UsageError(f"map {name} needs --{spec.param}")
+    return x
+
+
+def _enter(name: str, k: int, x) -> _Map:
+    """Check ``k`` and the parameter ``x`` of map ``name`` against its
+    entry, and return the entry."""
+    spec = _MAPS[name]
+    if spec.param == "i":
         if k < 1:
             raise UsageError(f"k must be >= 1, got {k}")
         if not 0 <= x <= k - 1:
             raise UsageError(f"step index i must be in 0..{k - 1}, got {x}")
-    elif name not in ("G", "Ginv") and not 2 <= x <= k:
-        raise UsageError(f"j must be in 2..k for this map, got j={x}, k={k}")
-    if not validate:
-        return None
-    source, target = map_classes(name, k, x)
-    if not avoids_basis(p, source):
-        what = "required by this step" if name in ("F", "Finv") else "required by this map"
-        raise DomainError(f"{format_perm(p) or 'empty'} is not in Av({source.label}); {what}")
-    return target
+    elif spec.param == "j":
+        if not 2 <= x <= k:
+            raise UsageError(f"j must be in 2..k, got j={x}, k={k}")
+    elif k < 2:
+        raise UsageError(f"k must be >= 2 for this map, got {k}")
+    elif x != spec.direction:
+        raise UsageError(f"direction must be to_21 or to_22, got {x!r}")
+    return spec
 
 
-def _result(
-    name: str, p: Perm, k: int, output: Perm, params: tuple, target, roles=None, windows=None
-) -> MapResult:
-    """One application's report; ``target`` is None when the input went unchecked."""
-    checked = target is not None
+def _apply(name: str, p: Perm, k: int, x, validate: bool) -> MapResult:
+    """One application of map ``name``: with ``validate``, ``p`` checked
+    against the source class and the output against the target; the record
+    holds the F step's roles, read off its landing map, or the windows."""
+    spec = _enter(name, k, x)
+    if validate:
+        source, target = map_classes(name, k, x)
+        if not avoids_basis(p, source):
+            what = "required by this step" if spec.param == "i" else "required by this map"
+            raise DomainError(f"{format_perm(p) or 'empty'} is not in Av({source.label}); {what}")
+    output, extra = spec.kernel(p, k, x)
+    landing = extra is not None and spec.param == "i"
     return MapResult(
         map_name=name,
         k=k,
         input=p,
         output=output,
-        params=params,
-        roles=roles,
-        windows=windows,
-        pre_checked=True if checked else None,
-        post_checked=avoids_basis(output, target) if checked else None,
+        params=((spec.param, x),),
+        roles=_roles(p, k, x, extra) if landing else None,
+        windows=None if extra is None or landing else tuple(extra),
+        pre_checked=True if validate else None,
+        post_checked=avoids_basis(output, target) if validate else None,
     )
 
 
@@ -298,8 +342,7 @@ def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
     """Compute B (rank-(i+1)-capable), A (rank-i-capable outside B, or the
     start anchor for i = 0), C (rank-(i+2)-capable outside B, or the end
     anchor for i = k-1), and the landing map f."""
-    _enter("F", p, k, i, validate)
-    return _roles(p, k, i, _f_kernel(p, k, i)[1])
+    return map_F(p, k, i, validate).roles
 
 
 def _roles(p: Perm, k: int, i: int, f) -> RoleSets:
@@ -320,9 +363,7 @@ def _roles(p: Perm, k: int, i: int, f) -> RoleSets:
 def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     """Move every B entry directly before its landing entry (end anchor for
     i = k-1), ties in increasing order; everything else keeps its order."""
-    target = _enter("F", p, k, i, validate)
-    output, f = _f_kernel(p, k, i)
-    return _result("F", p, k, output, (("i", i),), target, roles=_roles(p, k, i, f))
+    return _apply("F", p, k, i, validate)
 
 
 def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
@@ -349,14 +390,13 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     reverse-complement. With ``validate`` the reconstruction is confirmed by
     re-applying the forward map.
     """
-    target = _enter("Finv", w, k, i, validate)
-    output = _finv_kernel(w, k, i)
-    if validate and _f_kernel(output, k, i)[0] != w:
+    result = _apply("Finv", w, k, i, validate)
+    if validate and _f_kernel(result.output, k, i)[0] != w:
         raise NotInImageError(
             f"{format_perm(w)} is not in the image of the step (k={k}, i={i}): "
             "reconstruction does not map back"
         )
-    return _result("Finv", w, k, output, (("i", i),), target)
+    return result
 
 
 def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
@@ -409,16 +449,6 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
     return tuple(out), windows
 
 
-def _window_map(
-    name: str, p: Perm, k: int, rank: int, exclude_lower: bool, params: tuple, validate: bool
-) -> MapResult:
-    """The window reversal of ``_window_kernel`` as map ``name``, with its
-    checks and its record."""
-    target = _enter(name, p, k, rank, validate)
-    output, windows = _window_kernel(p, k, rank, exclude_lower)
-    return _result(name, p, k, output, params, target, windows=tuple(windows))
-
-
 def map_G(p: Perm, k: int, direction: str = "to_21", validate: bool = True) -> MapResult:
     """Reverse each anchor's window of possible 1-partners.
 
@@ -427,33 +457,26 @@ def map_G(p: Perm, k: int, direction: str = "to_21", validate: bool = True) -> M
     precondition differs (windows are increasing on one side, decreasing on
     the other).
     """
-    if k < 2:
-        raise UsageError(f"k must be >= 2 for this map, got {k}")
-    if direction not in ("to_21", "to_22"):
-        raise UsageError(f"direction must be to_21 or to_22, got {direction!r}")
-    name = "G" if direction == "to_21" else "Ginv"
-    return _window_map(name, p, k, 2, True, (("direction", direction),), validate)
+    return _apply("G" if direction == "to_21" else "Ginv", p, k, direction, validate)
 
 
 def map_H(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:
     """Reverse each rank-j anchor's window of possible (j-1)-partners:
     an injection from Av(M(k,j,j-1)) into Av(M(k,j,j))."""
-    return _window_map("H", p, k, j, False, (("j", j),), validate)
+    return _apply("H", p, k, j, validate)
 
 
 def map_H_conjugate(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:
     """The i = j+1 companion of ``map_H``: an injection from Av(M(k,j,j+1))
     into Av(M(k,j,j)), realized by conjugating H with reverse-complement."""
-    target = _enter("Hrc", p, k, j, validate)
-    inner, _ = _window_kernel(reverse_complement(p), k, k + 2 - j, False)
-    return _result("Hrc", p, k, reverse_complement(inner), (("j", j),), target)
+    return _apply("Hrc", p, k, j, validate)
 
 
 def naive_reverse_H(p: Perm, k: int, j: int, validate: bool = True) -> MapResult:
     """The would-be inverse of ``map_H``, mirroring its construction on
     Av(M(k,j,j)). It does not always land in Av(M(k,j,j-1)) for j > 2;
     kept as a diagnostic (312456 with k=4, j=3 is the classic escape)."""
-    return _window_map("HnaiveInv", p, k, j, True, (("j", j),), validate)
+    return _apply("HnaiveInv", p, k, j, validate)
 
 
 def apply_named_map(
@@ -466,11 +489,9 @@ def apply_named_map(
     validate: bool = True,
 ) -> MapResult:
     """Dispatch for the CLI-facing map names F, Finv, G, Ginv, H."""
-    if name in ("G", "Ginv"):
-        return map_G(p, k, "to_21" if name == "G" else "to_22", validate)
-    if name not in ("F", "Finv", "H"):
+    if name not in ("F", "Finv", "G", "Ginv", "H"):
         raise UsageError(f"unknown map {name!r} (expected F, Finv, G, Ginv, or H)")
-    flag, x = ("j", j) if name == "H" else ("i", i)
-    if x is None:
-        raise UsageError(f"map {name} needs --{flag}")
-    return {"F": map_F, "Finv": invert_F, "H": map_H}[name](p, k, x, validate)
+    x = _param(name, i, j)
+    if name == "Finv":
+        return invert_F(p, k, x, validate)
+    return _apply(name, p, k, x, validate)

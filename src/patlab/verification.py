@@ -22,10 +22,10 @@ from .enumeration import (
     walk_avoiders,
 )
 from .errors import UsageError, VerificationFailure
-from .maps import _f_kernel, _finv_kernel, _window_kernel, map_classes
+from .maps import _MAPS, _enter, _param, map_classes
 
-# Not called here since certification runs the kernels, but still imported:
-# the benchmark's tracer wraps these names on this module.
+# Not called here since certification runs the kernels of the map table, but
+# still imported: the benchmark's tracer wraps these names on this module.
 from .maps import invert_F, map_F, map_G, map_H  # noqa: F401
 from .patterns import (
     PatternBasis,
@@ -177,46 +177,22 @@ def certify_map(
     has no parent mask.
 
     The source is then streamed through ``walk_avoiders``, and the map's
-    output-only kernel runs at each member; no level of either class is
-    kept as a set. Each image sets one hit bit keyed the same way, above
-    the dead slots of its key in the target masks (or, for a key the target
-    lacks, in a side dict), so a bit found set is a collision and the image
-    sizes are popcounts.
+    output-only kernel, read from the map table in ``maps``, runs at each
+    member; no level of either class is kept as a set. Each image sets one
+    hit bit keyed the same way, above the dead slots of its key in the
+    target masks. A key the target lacks enters with all its slots dead, so
+    its images go to the pattern search and it adds no target member. A hit
+    bit found set is a collision, and the image sizes are popcounts.
     The counterexample is the one a sorted sweep meets first: at the least
     length with a violation, the least input whose image leaves the target
     or fails the roundtrip (the image check first), else the collision."""
-    if map_name == "F":
-        if i is None or not 0 <= i <= k - 1:
-            raise UsageError(f"map F needs a step index i in 0..{k - 1}")
-        params: tuple = (("i", i),)
-        expectation = "bijection"
-        forward = lambda p: _f_kernel(p, k, i)
-        backward = lambda w: _finv_kernel(w, k, i)
-    elif map_name == "G":
-        if k < 2:
-            raise UsageError(f"k must be >= 2 for this map, got {k}")
-        params = (("direction", "to_21"),)
-        expectation = "bijection"
-        # both directions of G are the same window reversal
-        forward = lambda p: _window_kernel(p, k, 2, True)
-        backward = lambda w: _window_kernel(w, k, 2, True)[0]
-    elif map_name == "H":
-        if j is None or not 2 <= j <= k:
-            raise UsageError(f"map H needs j in 2..{k}")
-        params = (("j", j),)
-        expectation = "injection"
-        forward = lambda p: _window_kernel(p, k, j, False)
-        backward = None
-    else:
+    if map_name not in ("F", "G", "H"):
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
-
-    source, target = map_classes(map_name, k, j if map_name == "H" else i)
+    x = _param(map_name, i, j)
+    spec = _enter(map_name, k, x)
+    backward = spec.inverse and _MAPS[spec.inverse].kernel
+    source, target = map_classes(map_name, k, x)
     masks = avoider_masks(target, max_n, node_budget=node_budget)
-    tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
-    for p, dead in masks.items():
-        n1 = len(p) + 1
-        tgt_sizes[n1] += (~dead & ((1 << n1) - 1)).bit_count()
-    hits: dict[Perm, int] = {}  # only images whose key is not in masks
     escaped = [False] * (max_n + 1)
     unrecovered = [False] * (max_n + 1)
     collided = [False] * (max_n + 1)
@@ -224,15 +200,16 @@ def certify_map(
 
     def visit(p: Perm, _mask) -> None:
         n = len(p)
-        w, _ = forward(p)
+        w, _ = spec.kernel(p, k, x)
         bad = None
         # one key and slot per image: the membership bit, then the hit bit
-        # (above the key's n dead-slot bits, or in ``hits``)
-        dead = None
+        # above the key's n dead-slot bits; a key outside the target gets
+        # all n slots dead. The empty image has no key: its slot reads dead.
+        dead, s = 1, 0
         if n:
             key, s = _split(w)
-            dead = masks.get(key)
-        if (dead is None or dead >> s & 1) and not avoids_basis(w, target):
+            dead = masks.setdefault(key, (1 << n) - 1)
+        if dead >> s & 1 and not avoids_basis(w, target):
             escaped[n] = True
             bad = {
                 "n": n,
@@ -241,7 +218,7 @@ def certify_map(
                 "output": format_perm(w),
             }
         if backward is not None:
-            back = backward(w)
+            back = backward(w, k, x)[0]
             if back != p:
                 unrecovered[n] = True
                 bad = bad or {
@@ -254,20 +231,17 @@ def certify_map(
         if bad is not None and (least[n] is None or p < least[n][0]):
             least[n] = (p, bad)
         if n:
-            if dead is None:
-                bits, old = hits, hits.get(key, 0)
-            else:
-                bits, old, s = masks, dead, s + n
-            if old >> s & 1:
+            if dead >> (s + n) & 1:
                 collided[n] = True
-            bits[key] = old | 1 << s
+            masks[key] = dead | 1 << (s + n)
 
     src_sizes = walk_avoiders(source, max_n, visit, node_budget=node_budget)
+    tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
     for key, bits in masks.items():
-        image_sizes[len(key) + 1] += (bits >> (len(key) + 1)).bit_count()
-    for key, bits in hits.items():
-        image_sizes[len(key) + 1] += bits.bit_count()
+        n1 = len(key) + 1
+        tgt_sizes[n1] += (~bits & ((1 << n1) - 1)).bit_count()
+        image_sizes[n1] += (bits >> n1).bit_count()
     rows: list[dict] = []
     counterexample: dict | None = None
     certified = True
@@ -290,15 +264,15 @@ def certify_map(
             }
         )
         ok = not (escaped[n] or collided[n] or unrecovered[n])
-        if expectation == "bijection":
+        if backward is not None:  # a bijection
             ok = ok and surjective
         certified = certified and ok
     return CertifyReport(
         map_name=map_name,
         k=k,
-        params=params,
+        params=((spec.param, x),),
         max_n=max_n,
-        expectation=expectation,
+        expectation="injection" if backward is None else "bijection",
         rows=tuple(rows),
         certified=certified,
         counterexample=counterexample,
@@ -395,14 +369,13 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     image being an avoidance class) and raises VerificationFailure naming
     the least violating member and its least deletion outside image[n-1].
     """
-    if not 2 <= j <= k:
-        raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
+    kernel = _enter("H", k, j).kernel
     if max_len > 9:
         raise UsageError(f"max_len is capped at 9, got {max_len}")
     image: list[dict[Perm, int]] = [{} for _ in range(max_len + 1)]
 
     def visit(p: Perm, _mask) -> None:
-        w = _window_kernel(p, k, j, False)[0]
+        w = kernel(p, k, j)[0]
         if w:  # H maps () to itself
             key, s = _split(w)
             level = image[len(w)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import patlab
-from patlab import verification
+from patlab import maps
 from patlab.cli import main
 from patlab.patterns import MAX_UNDERLYING
 
@@ -272,7 +272,7 @@ def _constant_map(p, *args):
 
 
 class TestCertifyFailures:
-    """A broken kernel patched into verification: the table names the witness
+    """A broken kernel patched into maps: the table names the witness
     on the line before the verdict, which stays last."""
 
     @pytest.mark.parametrize("argv, attr, broken, tail", [
@@ -290,14 +290,14 @@ class TestCertifyFailures:
         ]),
     ], ids=["F-identity", "H-constant", "G-constant"])
     def test_table_names_the_witness(self, capsys, monkeypatch, argv, attr, broken, tail):
-        monkeypatch.setattr(verification, attr, broken)
+        monkeypatch.setattr(maps, attr, broken)
         code, out, _ = run(capsys, "certify", *argv, "--n", "5")
         assert code == 1
         assert out.splitlines()[-2:] == tail
         assert out.endswith(": FAILED\n")
 
     def test_in_target_column_reads_the_report(self, capsys, monkeypatch):
-        monkeypatch.setattr(verification, "_f_kernel", _identity_map)
+        monkeypatch.setattr(maps, "_f_kernel", _identity_map)
         argv = ["certify", "--map", "F", "--k", "3", "--i", "0", "--n", "5"]
         _, out, _ = run(capsys, *argv)
         _, doc, _ = run(capsys, *argv, "--format", "json")

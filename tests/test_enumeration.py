@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -28,13 +29,20 @@ from patlab import (
     levels_avoiders,
     make_basis,
     monotone_basis,
-    parse_class_expression,
     parse_perm,
 )
-from patlab.enumeration import avoider_masks
+from patlab.cli import main
+from patlab.enumeration import avoider_masks, walk_avoiders
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def count_csv(capsys, expr, max_n):
+    """The stdout of ``count --format csv``, counted sequentially."""
+    main(["count", "--class", expr, "--n", str(max_n), "--format", "csv", "--no-parallel"])
+    return capsys.readouterr().out
+
 
 # random bases for the kernel oracle checks: 1-3 patterns of length 1-5
 BASES = st.lists(perms(5, min_n=1), min_size=1, max_size=3).map(make_basis)
@@ -112,8 +120,8 @@ class TestCatalanAnchor:
         assert count_sequence(9, basis).values() == CATALAN
         assert brute_force_counts(9, basis).values() == CATALAN
 
-    def test_golden_file(self):
-        assert (GOLDEN / "123.csv").read_text() == count_sequence(9, basis_of(["123"])).csv()
+    def test_golden_file(self, capsys):
+        assert (GOLDEN / "123.csv").read_text() == count_csv(capsys, "123", 9)
 
 
 class TestEngineEquivalence:
@@ -172,18 +180,18 @@ class TestCountSequence:
         for n in range(8):
             assert large.count(n) <= small.count(n)
 
-    def test_golden_counts(self):
+    def test_golden_counts(self, capsys):
         for name, max_n in [("M(3,2,2)", 9), ("M(4,3,3)", 8), ("D(3,2)", 9)]:
             golden = (GOLDEN / f"{name}.csv").read_text()
-            assert count_sequence(max_n, parse_class_expression(name)).csv() == golden
+            assert count_csv(capsys, name, max_n) == golden
 
     def test_golden_members(self):
         rows = (GOLDEN / "M(3,2,2).n5.members.txt").read_text().split()
         got = levels_avoiders(monotone_basis(3, 2, 2), 5)[5]
         assert {parse_perm(r) for r in rows} == got
 
-    def test_csv_shape(self):
-        csv = count_sequence(2, basis_of(["21"])).csv()
+    def test_csv_shape(self, capsys):
+        csv = count_csv(capsys, "21", 2)
         assert csv == "n,count\n0,1\n1,1\n2,1\n"
 
     def test_length_one_pattern_forbids_everything(self):
@@ -411,6 +419,27 @@ class TestBudgetsAndCaps:
             with pytest.raises(BudgetExceededError, match=f"budget of {short} "):
                 count_sequence(9, basis, parallel=parallel, node_budget=short)
         assert sum(count_sequence(9, basis, parallel=parallel, node_budget=total).values()) == total
+        assert_no_children()
+
+    def test_only_the_childs_share_overruns(self, monkeypatch):
+        # Av(321) to n=8 is split at length 6 into two strided shares: the
+        # parent counts the descendants of roots[0::2], one child those of
+        # roots[1::2], each on what the prefix left of the budget. With the
+        # limit at prefix + share 0, the parent's share fits exactly and the
+        # join sum stays within it: only the child's copy runs out.
+        basis = basis_of(["321"])
+        roots = []
+        walk_avoiders(basis, 6, lambda p, _mask: roots.append(p) if len(p) == 6 else None)
+        levels = levels_avoiders(basis, 8)
+        below = Counter(tuple(v for v in p if v <= 6) for n in (7, 8) for p in levels[n])
+        share = [sum(below[r] for r in roots[w::2]) for w in (0, 1)]
+        prefix = sum(count_sequence(6, basis).values())
+        assert (prefix, *share) == (197, 901, 958)
+        assert share[1] > share[0]
+        limit = prefix + share[0]
+        monkeypatch.setattr(enumeration, "_usable_cpus", lambda: 2)
+        with pytest.raises(BudgetExceededError, match=f"node budget of {limit} exhausted"):
+            count_sequence(8, basis, parallel=True, node_budget=limit)
         assert_no_children()
 
     def test_parallel_budget_enforced(self):

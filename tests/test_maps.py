@@ -37,7 +37,7 @@ from patlab import (
     reverse_complement,
     role_sets,
 )
-from patlab.maps import _CLASS_ARGS, _f_kernel, _finv_kernel, _window_kernel, map_classes
+from patlab.maps import _MAPS, _f_kernel, _finv_kernel, _window_kernel, map_classes
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
@@ -498,7 +498,7 @@ class TestKernelOracle:
     def test_every_source_member_to_length_8(self, name):
         k = 4
         for x in VALIDATED[name][1](k):
-            levels = monotone_members(k, *_CLASS_ARGS[name](x)[0], 8)
+            levels = monotone_members(k, *_MAPS[name].classes(x)[0], 8)
             for n in range(9):
                 for p in sorted(levels[n]):
                     _check(name, p, k, x)

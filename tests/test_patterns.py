@@ -226,6 +226,7 @@ class TestClassExpressionGrammar:
             ("12x3", "unexpected"),
             ("M(3,9,1)", "j must be"),
             ("M(3,1)", "three arguments"),
+            ("D(4,2,1)", "two arguments"),
             ("D(3)", "unexpected"),
             ("", "empty"),
             ("12;;13", "empty"),

@@ -50,7 +50,7 @@ class TestParseFormat:
         for p in [(1,), (2, 1, 3), P14, identity(9), identity(10)]:
             assert parse_perm(format_perm(p)) == p
 
-    @pytest.mark.parametrize("bad", ["1x2", "102", "1 2 2", "3 1", "²"])
+    @pytest.mark.parametrize("bad", ["1x2", "102", "1 2 2", "3 1", "²", "1 x 3"])
     def test_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_perm(bad)

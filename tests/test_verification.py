@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import patlab.maps as maps
 import patlab.verification as verification
 from conftest import oracle_avoids_basis, oracle_discover_basis
 from patlab import (
@@ -15,6 +16,7 @@ from patlab import (
     count_sequence,
     discover_basis,
     distant_growth_bounds,
+    format_perm,
     growth_diagnostics,
     invert_F,
     levels_avoiders,
@@ -29,6 +31,7 @@ from patlab import (
     survey_almost_distant,
     verify_wilf,
 )
+from patlab.enumeration import CountSequence
 from patlab.maps import _window_kernel
 
 # (map, k, params) for every map and parameter at k = 3 and 4
@@ -176,6 +179,22 @@ class TestCertify:
         with pytest.raises(UsageError, match="k must be >= 2 for this map, got 1"):
             certify_map("G", 1, max_n=4)
 
+    # a bad k (F, G), i (F) or j (H): certify_map refuses it like the map
+    @pytest.mark.parametrize("name, k, params, apply, message", [
+        ("F", 0, {"i": 0}, lambda: map_F((), 0, 0), "k must be >= 1, got 0"),
+        ("F", 3, {"i": 3}, lambda: map_F((), 3, 3), "step index i must be in 0..2, got 3"),
+        ("F", 3, {"i": -1}, lambda: map_F((), 3, -1), "step index i must be in 0..2, got -1"),
+        ("H", 3, {"j": 1}, lambda: map_H((), 3, 1), "j must be in 2..k, got j=1, k=3"),
+        ("H", 3, {"j": 4}, lambda: map_H((), 3, 4), "j must be in 2..k, got j=4, k=3"),
+        ("G", 1, {}, lambda: map_G((), 1), "k must be >= 2 for this map, got 1"),
+    ], ids=["F-k0", "F-i3", "F-i-1", "H-j1", "H-j4", "G-k1"])
+    def test_refuses_like_the_map(self, name, k, params, apply, message):
+        with pytest.raises(UsageError) as by_map:
+            apply()
+        with pytest.raises(UsageError) as by_certify:
+            certify_map(name, k, max_n=3, **params)
+        assert str(by_map.value) == str(by_certify.value) == message
+
     def test_json_shape(self):
         doc = certify_map("F", 2, i=0, max_n=4).as_json_dict()
         assert doc["verdict"] == "certified"
@@ -217,7 +236,7 @@ class TestCertifyFailures:
         }),
     ], ids=["F-identity", "H-identity", "H-constant", "G-constant", "G-no-inverse"])
     def test_counterexample(self, monkeypatch, attr, broken, args, witness):
-        monkeypatch.setattr(verification, attr, broken)
+        monkeypatch.setattr(maps, attr, broken)
         map_name, k, params = args
         report = certify_map(map_name, k, max_n=6, **params)
         assert not report.certified
@@ -231,9 +250,9 @@ class TestCertifyFailures:
     def test_image_failure_named_before_roundtrip_of_the_same_input(self, monkeypatch):
         # with F the identity, 1324 is the least input whose image escapes
         # (see F-identity); its roundtrip fails too, and the image is named
-        monkeypatch.setattr(verification, "_f_kernel", _identity_map)
+        monkeypatch.setattr(maps, "_f_kernel", _identity_map)
         monkeypatch.setattr(
-            verification, "_finv_kernel", lambda w, k, i: (4, 3, 2, 1) if w == (1, 3, 2, 4) else w
+            maps, "_finv_kernel", lambda w, k, i: (4, 3, 2, 1) if w == (1, 3, 2, 4) else w
         )
         report = certify_map("F", 3, i=0, max_n=5)
         assert report.counterexample == {
@@ -247,7 +266,7 @@ class TestCertifyFailures:
         def broken_H(p, k, rank, exclude_lower):
             return _window_kernel((1, 3, 2) if p == (2, 1, 3) else p, k, rank, exclude_lower)
 
-        monkeypatch.setattr(verification, "_window_kernel", broken_H)
+        monkeypatch.setattr(maps, "_window_kernel", broken_H)
         report = certify_map("H", 4, j=3, max_n=5)
         assert report.counterexample == {"n": 3, "reason": "two inputs share an output"}
         rows = {r["n"]: r for r in report.rows}
@@ -264,17 +283,37 @@ class TestCertifyFailures:
         parent = lambda p: tuple(v for v in p if v < len(p))
         stray = sorted(p for p in levels[6] if not avoids_basis(parent(p), target))
         assert len(stray) >= 2
-        monkeypatch.setattr(verification, "_window_kernel", _identity_map)
+        monkeypatch.setattr(maps, "_window_kernel", _identity_map)
         rows = certify_map("H", 4, j=3, max_n=6).rows
         assert [r["image_size"] for r in rows] == [len(levels[n]) for n in range(7)]
         assert all(r["injective"] for r in rows)
         # send the second stray member onto the first: a collision among them
         monkeypatch.setattr(
-            verification, "_window_kernel", lambda p, *args: (stray[0] if p == stray[1] else p, ())
+            maps, "_window_kernel", lambda p, *args: (stray[0] if p == stray[1] else p, ())
         )
         rows = certify_map("H", 4, j=3, max_n=6).rows
         assert not rows[6]["injective"] and rows[6]["image_size"] == len(levels[6]) - 1
         assert all(r["injective"] for r in rows[:6])
+
+    def test_image_whose_key_leaves_the_target_is_named(self, monkeypatch):
+        # H sends one member of Av(M(4,3,2)) whose parent leaves Av(M(4,3,3))
+        # to itself: its key has no target mask, so it enters with every slot
+        # dead, the pattern search names the image, and it adds no member
+        source, target = source_and_target("H", 4, j=3)
+        parent = lambda p: tuple(v for v in p if v < len(p))
+        stray = min(p for p in levels_avoiders(source, 6)[6] if not avoids_basis(parent(p), target))
+
+        def broken_H(p, k, rank, exclude_lower):
+            return (p, ()) if p == stray else _window_kernel(p, k, rank, exclude_lower)
+
+        monkeypatch.setattr(maps, "_window_kernel", broken_H)
+        report = certify_map("H", 4, j=3, max_n=6)
+        assert not report.certified
+        assert report.counterexample == {
+            "n": 6, "reason": "image leaves the target class",
+            "input": format_perm(stray), "output": format_perm(stray),
+        }
+        assert [r["target_size"] for r in report.rows] == list(count_sequence(6, target).values())
 
     def test_least_escape_wins_over_tree_order(self, monkeypatch):
         # Av(M(2,2,1)) at n=3 is {213, 231, 312, 321}, visited in tree order
@@ -287,7 +326,7 @@ class TestCertifyFailures:
                 return escapes[p], ()
             return _window_kernel(p, k, rank, exclude_lower)
 
-        monkeypatch.setattr(verification, "_window_kernel", broken_H)
+        monkeypatch.setattr(maps, "_window_kernel", broken_H)
         visited = []
         walk = verification.walk_avoiders
 
@@ -315,7 +354,7 @@ class TestCertifyFailures:
         def broken_H(p, k, rank, exclude_lower):
             return swap.get(p, p), ()
 
-        monkeypatch.setattr(verification, "_window_kernel", broken_H)
+        monkeypatch.setattr(maps, "_window_kernel", broken_H)
         with pytest.raises(VerificationFailure) as err:
             discover_basis(3, 2, 5)
         n = len(witness)
@@ -444,6 +483,43 @@ class TestSandwich:
         # sandwich_check itself must never raise on valid input
         report = sandwich_check(4, 3, 6)
         assert all(r["lower"] <= r["mid"] <= r["upper"] for r in report.rows)
+
+    @pytest.mark.parametrize("layer, label, message, witness", [
+        # D(3,2) counts 1000 more from n=4 on, above M(3,2,2) first at n=4
+        ("count_sequence", "D(3,2)", "count sandwich fails at n=4 for k=3, j=2: 14, 1020, 21", 4),
+        # 2134, 1423 and 21345 contain D(3,2) and M(3,2,2)
+        ("levels_avoiders", "123",
+         "set inclusion fails at n=4 for k=3, j=2: 1423 avoids 12...k but not D(3,2)",
+         (1, 4, 2, 3)),
+        ("levels_avoiders", "D(3,2)",
+         "set inclusion fails at n=4 for k=3, j=2: 1423 avoids D(3,2) but not M(3,2,2)",
+         (1, 4, 2, 3)),
+    ], ids=["counts", "lower-in-mid", "mid-in-upper"])
+    def test_each_violation_names_the_least_witness(
+        self, monkeypatch, layer, label, message, witness
+    ):
+        real = getattr(verification, layer)
+
+        def more_counts(max_n, basis, **kwargs):
+            seq = real(max_n, basis, **kwargs)
+            if basis.label != label:
+                return seq
+            counts = tuple((n, c + 1000 * (n >= 4)) for n, c in seq.counts)
+            return CountSequence(seq.basis_label, counts, seq.method)
+
+        def more_members(basis, max_n, **kwargs):
+            levels = real(basis, max_n, **kwargs)
+            if basis.label == label:
+                for p in [(2, 1, 3, 4), (1, 4, 2, 3), (2, 1, 3, 4, 5)]:
+                    levels[len(p)].add(p)
+            return levels
+
+        broken = more_counts if layer == "count_sequence" else more_members
+        monkeypatch.setattr(verification, layer, broken)
+        with pytest.raises(VerificationFailure) as err:
+            sandwich_check(3, 2, 6)
+        assert str(err.value) == message
+        assert err.value.witness == witness
 
 
 class TestSurvey:
