@@ -41,8 +41,9 @@ the position into its role on the spot (``_scan`` for the A, B and C of an
 F step, which ``role_sets`` reports). A set difference of two ranks has an
 exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
 capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
-returns its input unchanged when nothing moves. ``perms.lis_tables`` is
-only the tests' reference for the rank tables.
+stops after its patience pass, input unchanged, exactly when ``up`` finds
+no 12...k, where no entry can play a rank (``_rank_up`` holds the proof).
+``perms.lis_tables`` is only the tests' reference for the rank tables.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -54,6 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .enumeration import avoids_basis
@@ -188,10 +190,12 @@ _MAPS = {
 }
 
 
+@lru_cache(maxsize=256)
 def map_classes(name: str, k: int, x: int | None = None) -> tuple[PatternBasis, PatternBasis]:
     """The (source, target) classes of the map called ``name`` in
     ``MapResult.map_name``, where ``x`` is its step index i (F, Finv) or its
-    rank j (H, Hrc, HnaiveInv); G and Ginv take none.
+    rank j (H, Hrc, HnaiveInv); G and Ginv take none. Built once per
+    (name, k, x) and shared, as ``PatternBasis`` is frozen.
 
     >>> [c.label for c in map_classes("H", 4, 3)]
     ['M(4,3,2)', 'M(4,3,3)']
@@ -278,6 +282,21 @@ def _move(p: Perm, f) -> Perm:
     return tuple(out)
 
 
+def _rank_up(p: Perm, k: int) -> list[int] | None:
+    """``up`` of ``p`` (``perms._up_runs``), or None when p has no 12...k,
+    that is when ``k not in up`` (a longest run ending at up == m has up
+    1, ..., m).
+
+    A rank-r-capable entry has up >= r and down >= k-r+1, so it lies on an
+    increasing run of length >= k. A, B, C and the anchors are all
+    rank-capable, so without a 12...k every kernel returns p; Finv and Hrc
+    conjugate by reverse-complement, which keeps 12...k. With one, its
+    rank-(i+1) entry is in B, and the run from its rank-r entry on which
+    down falls by 1 to 1 holds an anchor (up >= r, down == k-r+1)."""
+    up = _up_runs(p)
+    return up if k in up else None
+
+
 def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
     """The positions of A, B and C of one F step, each list right to left.
 
@@ -286,8 +305,10 @@ def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
     up >= i+1 and down >= k-i; A (rank-i-capable, outside B) is exactly
     up == i and down >= k-i+1; C (rank-(i+2)-capable, outside B) is exactly
     up >= i+2 and down == k-i-1. A is empty for i = 0 and C for i = k-1."""
+    up = _rank_up(p, k)
+    if up is None:
+        return [], [], []
     n = len(p)
-    up = _up_runs(p)
     need = k - i
     tails = [0] + [n + 1] * n  # patience tails on the complemented values
     a: list[int] = []
@@ -333,7 +354,7 @@ def _f_kernel(p: Perm, k: int, i: int):
                 )
             c = None  # the end anchor
         f.append((t, c))
-    if not f:
+    if not f:  # no 12...k (``_rank_up``)
         return p, f
     return _move(p, f), f
 
@@ -411,8 +432,10 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
     toward the anchor. Windows must come out pairwise disjoint on class
     members; overlap means the input was outside the class.
     """
+    up = _rank_up(p, k)
+    if up is None:
+        return p, []
     n = len(p)
-    up = _up_runs(p)
     need = k - rank + 1
     tails = [0] + [n + 1] * n  # patience tails on the complemented values
     windows: list[tuple[int, int]] = []
@@ -434,8 +457,6 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
                     f"(k={k}, rank={rank}); input violates the map's guarantees"
                 )
             windows.append((h, a))
-    if not windows:
-        return p, windows
     windows.sort()
     for (s1, e1), (s2, _) in zip(windows, windows[1:]):
         if e1 > s2:

@@ -37,6 +37,7 @@ from patlab import (
     reverse_complement,
     role_sets,
 )
+from patlab import maps
 from patlab.maps import _MAPS, _f_kernel, _finv_kernel, _window_kernel, map_classes
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
@@ -386,6 +387,28 @@ class TestMapClasses:
         with pytest.raises(UsageError):
             map_classes("F", 4)
 
+    def test_each_basis_is_built_once(self, monkeypatch):
+        first, again = map_classes("H", 4, 3), map_classes("H", 4, 3)
+        assert first[0] is again[0] and first[1] is again[1]
+        builds = []
+
+        def counted(k, j, i):
+            builds.append((k, j, i))
+            return monotone_basis(k, j, i)
+
+        monkeypatch.setattr(maps, "monotone_basis", counted)
+        map_classes.cache_clear()
+        try:
+            for k in (3, 4):
+                for j in range(2, k + 1):
+                    for n in range(4):  # members: every basis pattern has length k+1
+                        for p in permutations(range(1, n + 1)):
+                            assert map_H(p, k, j).post_checked is True
+        finally:
+            map_classes.cache_clear()
+        expected = [(k, j, i) for k in (3, 4) for j in range(2, k + 1) for i in (j - 1, j)]
+        assert sorted(builds) == expected
+
 
 # Each map by its MapResult.map_name: the output-only kernel that
 # certification runs, and the public map without its class checks.
@@ -542,3 +565,51 @@ def _check_roles(p, k, i):
     roles = role_sets(p, k, i, False)
     got = (roles.a_positions, roles.b_positions, roles.c_positions, roles.f_map)
     assert got == reference_roles(p, k, i, _oracle_tables(p)), (k, i, p)
+
+
+@functools.cache
+def _split_by_12k(k, max_n):
+    """Every permutation of length <= ``max_n``, split by brute-force
+    containment into those without and those with a 12...k."""
+    free, ranked = [], []
+    for n in range(max_n + 1):
+        for p in permutations(range(1, n + 1)):
+            (ranked if contains(p, tuple(range(1, k + 1))) else free).append(p)
+    return free, ranked
+
+
+class TestRankFree:
+    """Every rank-capable entry lies on a 12...k, so no kernel moves an
+    entry of a permutation without one (``maps._rank_up``)."""
+
+    @pytest.mark.parametrize("name", list(_MAPS))
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_every_kernel_returns_its_input(self, name, k):
+        free, _ = _split_by_12k(k, 7)
+        for x in VALIDATED[name][1](k):
+            for p in free:
+                output, extra = _MAPS[name].kernel(p, k, x)
+                assert output == p and not extra, (x, p)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_role_sets_are_empty(self, k):
+        free, _ = _split_by_12k(k, 7)
+        for i in range(k):
+            for p in free:
+                roles = role_sets(p, k, i, False)
+                assert roles.b_positions == () and roles.f_map == (), (i, p)
+                assert roles.a_positions in (None, ()) and roles.c_positions in (None, ())
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_other_input_has_a_mover(self, k):
+        # a landing map or a window on every input with a 12...k, or the
+        # refusal of an input outside the class
+        _, ranked = _split_by_12k(k, 6)
+        for name in ("F", "G", "H", "HnaiveInv"):
+            for x in VALIDATED[name][1](k):
+                for p in ranked:
+                    try:
+                        extra = _MAPS[name].kernel(p, k, x)[1]
+                    except PatlabError:
+                        continue
+                    assert extra, (name, x, p)
