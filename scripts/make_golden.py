@@ -6,10 +6,10 @@ that it does not write.
   tree engine: these goldens exist to check it). A count CSV is written by
   the CLI's own renderer, the bytes ``count --format csv`` prints.
 - ``cli_transcripts.json`` comes from ``patlab.cli.main``, run in-process at
-  small k and n. It pins the bytes of each output format, not the counts:
-  for every command with each ``--format`` it takes, and for the usage
-  errors, one entry holds the argv, any environment it sets, and the exit
-  code, stdout and stderr. An argparse refusal pins only its exit code and
+  small k and n, and for the verify jobs at n=8. It pins the bytes of each
+  output format, not the counts: for every command with each ``--format``
+  it takes, for the verify jobs and for the usage errors, one entry holds
+  the argv, any environment it sets, and the exit code, stdout and stderr. An argparse refusal pins only its exit code and
   stdout (stderr is null), since argparse's wording differs across Python
   versions.
 
@@ -59,7 +59,8 @@ def _json_table(*argv: str) -> list[list[str]]:
 
 
 # Every command with each --format it takes (k <= 4 and n <= 6, but for basis
-# at j = 5, which needs k = 5), then the usage errors: (argv, environment).
+# at j = 5, which needs k = 5), the verify jobs at n=8, then the usage
+# errors: (argv, environment).
 TRANSCRIPTS = [
     (argv, {})
     for argv in [
@@ -81,6 +82,13 @@ TRANSCRIPTS = [
         *_formats("growth", "--class", "D(4,2)", "--n", "6"),
         *_formats("growth", "--class", "123", "--n", "5"),
         *_formats("survey", "--perm", "123", "--n", "5"),
+        # the jobs of perfbench's verify workload one size above the one it
+        # times, so certification and discovery are pinned at n=8 as well
+        ["certify", "--map", "F", "--k", "4", "--i", "1", "--n", "8", "--format", "json"],
+        ["certify", "--map", "G", "--k", "4", "--n", "8", "--format", "json"],
+        ["certify", "--map", "H", "--k", "4", "--j", "3", "--n", "8", "--format", "json"],
+        ["basis", "--k", "4", "--j", "3", "--n", "8", "--format", "json"],
+        ["basis", "--k", "4", "--j", "4", "--n", "8", "--format", "json"],
         ["count", "--class", "1#2#3", "--n", "4"],
         ["count", "--class", "123", "--n", "13"],
         ["count", "--class", "123", "--n", "3", "--budget", "0"],
