@@ -31,10 +31,12 @@ text.
 
 Each construction has one body, an output-only kernel that checks nothing
 and builds no record: ``_f_kernel`` returns F's output and its landing map,
-and ``_window_kernel`` the output and the reversal windows of G (both
-ways), H, ``naive_reverse_H`` and, through reverse-complement,
-``map_H_conjugate``. Finv (``_finv_kernel``) is F of the mirrored step,
-conjugated by reverse-complement the same way. A kernel classifies ranks
+which carries the A and C positions of the same scan (``_Landing``), so a
+public F step and ``role_sets`` scan once; ``_window_kernel`` returns the
+output and the reversal windows of G (both ways), H, ``naive_reverse_H``
+and, through reverse-complement, ``map_H_conjugate``. Finv
+(``_finv_kernel``) is F of the mirrored step, conjugated by
+reverse-complement the same way. A kernel classifies ranks
 while it scans: one left-to-right patience pass (``perms._up_runs``) gives
 ``up``, and one right-to-left pass finds each position's ``down`` and sorts
 the position into its role on the spot (``_scan`` for the A, B and C of an
@@ -43,7 +45,13 @@ exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
 capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
 stops after its patience pass, input unchanged, exactly when ``up`` finds
 no 12...k, where no entry can play a rank (``_rank_up`` holds the proof).
-``perms.lis_tables`` is only the tests' reference for the rank tables.
+Every kernel also takes ``free``, the caller's word that the input has no
+12...k: it then returns the input before any pass, Finv and Hrc before
+they conjugate. Certification and basis discovery read that bit off each
+member's parent in the generating tree, by the slot rule of
+``_free_below``, and pay a patience pass only on rank-free members with
+children. ``perms.lis_tables`` is only the tests' reference for the rank
+tables.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -162,31 +170,33 @@ class _Map(NamedTuple):
 
     param: str  # the parameter x's name: "i", "j" or "direction"
     classes: Callable  # x -> the (j, i) of the source and of the target class M(k,j,i)
-    kernel: Callable  # (p, k, x) -> (output, landing map | windows | None), no checks
+    kernel: Callable  # (p, k, x, free) -> (output, landing map | windows | None), no checks
     inverse: str | None  # the inverse's map_name; None for the H family
     direction: str | None = None  # G's parameter, fixed by its map_name
 
 
 # Each kernel is named inside a lambda, so it is looked up at call time: a
 # kernel replaced on this module is the one the maps, certification and
-# basis discovery all run.
+# basis discovery all run. A true ``free`` says p has no 12...k, so the
+# kernel returns p without its patience pass (``_rank_up``).
 _MAPS = {
     "F": _Map("i", lambda x: ((x + 1, x + 1), (x + 2, x + 2)),
-              lambda p, k, x: _f_kernel(p, k, x), "Finv"),
+              lambda p, k, x, free=False: _f_kernel(p, k, x, free), "Finv"),
     "Finv": _Map("i", lambda x: ((x + 2, x + 2), (x + 1, x + 1)),
-                 lambda w, k, x: (_finv_kernel(w, k, x), None), "F"),
+                 lambda w, k, x, free=False: (_finv_kernel(w, k, x, free), None), "F"),
     # both directions of G are the same window reversal
     "G": _Map("direction", lambda x: ((2, 2), (2, 1)),
-              lambda p, k, x: _window_kernel(p, k, 2, True), "Ginv", "to_21"),
+              lambda p, k, x, free=False: _window_kernel(p, k, 2, True, free), "Ginv", "to_21"),
     "Ginv": _Map("direction", lambda x: ((2, 1), (2, 2)),
-                 lambda p, k, x: _window_kernel(p, k, 2, True), "G", "to_22"),
+                 lambda p, k, x, free=False: _window_kernel(p, k, 2, True, free), "G", "to_22"),
     "H": _Map("j", lambda x: ((x, x - 1), (x, x)),
-              lambda p, k, x: _window_kernel(p, k, x, False), None),
+              lambda p, k, x, free=False: _window_kernel(p, k, x, False, free), None),
     # H conjugated by reverse-complement, which turns rank j into rank k+2-j
-    "Hrc": _Map("j", lambda x: ((x, x + 1), (x, x)), lambda p, k, x: (reverse_complement(
-        _window_kernel(reverse_complement(p), k, k + 2 - x, False)[0]), None), None),
+    "Hrc": _Map("j", lambda x: ((x, x + 1), (x, x)), lambda p, k, x, free=False: (
+        p if free else reverse_complement(
+            _window_kernel(reverse_complement(p), k, k + 2 - x, False)[0]), None), None),
     "HnaiveInv": _Map("j", lambda x: ((x, x), (x, x - 1)),
-                      lambda p, k, x: _window_kernel(p, k, x, True), None),
+                      lambda p, k, x, free=False: _window_kernel(p, k, x, True, free), None),
 }
 
 
@@ -292,9 +302,26 @@ def _rank_up(p: Perm, k: int) -> list[int] | None:
     rank-capable, so without a 12...k every kernel returns p; Finv and Hrc
     conjugate by reverse-complement, which keeps 12...k. With one, its
     rank-(i+1) entry is in B, and the run from its rank-r entry on which
-    down falls by 1 to 1 holds an anchor (up >= r, down == k-r+1)."""
+    down falls by 1 to 1 holds an anchor (up >= r, down == k-r+1). A
+    kernel told ``free`` skips this pass; ``_free_below`` gives the bit of
+    a child from its parent's."""
     up = _up_runs(p)
     return up if k in up else None
+
+
+def _free_below(p: Perm, k: int) -> int:
+    """For ``p`` with no 12...k (k >= 1): the child of p with a new maximum
+    at slot s has none iff s < this.
+
+    Every 12...k of the child uses the new maximum, as its k, after an
+    increasing run of length k-1 left of slot s: one exists iff some
+    index t < s has up >= k-1, and as p has no 12...k (``_rank_up``) that
+    is up == k-1. So the bound is 1 + the first such t, len(p) + 1 when
+    there is none, and 0 for k = 1, where the maximum alone is a 1."""
+    if k <= 1:
+        return 0
+    up = _up_runs(p)
+    return up.index(k - 1) + 1 if k - 1 in up else len(p) + 1
 
 
 def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
@@ -327,15 +354,27 @@ def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
     return a, b, c
 
 
-def _f_kernel(p: Perm, k: int, i: int):
+class _Landing(list):
+    """F's landing map f: (B position, landing position) pairs, B ascending,
+    and the A and C positions (right to left) of the scan that found them,
+    so a ``RoleSets`` comes from the kernel's one scan."""
+
+    __slots__ = ("a", "c")
+
+
+def _f_kernel(p: Perm, k: int, i: int, free: bool = False):
     """F with no checks and no record: (output, landing map f).
 
     The landing entry of a B entry t is the rightmost larger C entry, the
     first larger one in ``_scan``'s order; it always lies right of t (see
     the raise). f pairs each B position, ascending, with its landing
-    position (None for the end anchor, i = k-1, where C is empty)."""
-    _, b, cs = _scan(p, k, i)
-    f: list[tuple[int, int | None]] = []
+    position (None for the end anchor, i = k-1, where C is empty). A true
+    ``free`` says p has no 12...k: then f is a plain empty list, at once."""
+    if free:
+        return p, []
+    a, b, cs = _scan(p, k, i)
+    f = _Landing()
+    f.a, f.c = a, cs
     for t in reversed(b):
         pt = p[t]
         for c in cs:
@@ -366,17 +405,16 @@ def role_sets(p: Perm, k: int, i: int, validate: bool = True) -> RoleSets:
     return map_F(p, k, i, validate).roles
 
 
-def _roles(p: Perm, k: int, i: int, f) -> RoleSets:
-    """The ``RoleSets`` of one F step: A, B and C from ``_scan``, the
-    landing map ``f`` from ``_f_kernel``."""
-    a, b, c = _scan(p, k, i)
+def _roles(p: Perm, k: int, i: int, f: _Landing) -> RoleSets:
+    """The ``RoleSets`` of one F step, read off ``_f_kernel``'s landing map
+    ``f``: B is its first column, A and C the positions it carries."""
     return RoleSets(
         perm=p,
         k=k,
         i=i,
-        b_positions=tuple(reversed(b)),
-        a_positions=None if i == 0 else tuple(reversed(a)),
-        c_positions=None if i == k - 1 else tuple(reversed(c)),
+        b_positions=tuple(t for t, _ in f),
+        a_positions=None if i == 0 else tuple(reversed(f.a)),
+        c_positions=None if i == k - 1 else tuple(reversed(f.c)),
         f_map=tuple(f),
     )
 
@@ -387,8 +425,9 @@ def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     return _apply("F", p, k, i, validate)
 
 
-def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
-    """Finv with no checks and no record: the reconstructed preimage.
+def _finv_kernel(w: Perm, k: int, i: int, free: bool = False) -> Perm:
+    """Finv with no checks and no record: the reconstructed preimage, ``w``
+    itself when ``free`` says it has no 12...k (no copies are made).
 
     Reverse-complement sends rank r to rank k+1-r, so it turns step i's A
     and B into step k-1-i's C and B, a partner (the leftmost earlier,
@@ -396,6 +435,8 @@ def _finv_kernel(w: Perm, k: int, i: int) -> Perm:
     "right after" into "right before" and the start anchor into the end
     anchor, and keeps ties increasing: Finv of step i is F of step k-1-i
     conjugated by reverse-complement."""
+    if free:
+        return w
     return reverse_complement(_f_kernel(reverse_complement(w), k, k - 1 - i)[0])
 
 
@@ -420,7 +461,7 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     return result
 
 
-def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
+def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool, free: bool = False):
     """Reverse the window [h(a), a) in front of every anchor a, with no
     checks and no record: (output, windows).
 
@@ -430,9 +471,10 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool):
     ``exclude_lower`` exactly down == k-rank+1. h(a) is the leftmost
     earlier, smaller entry with up >= rank-1, one that can act as rank-1
     toward the anchor. Windows must come out pairwise disjoint on class
-    members; overlap means the input was outside the class.
+    members; overlap means the input was outside the class. A true ``free``
+    says p has no 12...k: then (p, []) at once.
     """
-    up = _rank_up(p, k)
+    up = None if free else _rank_up(p, k)
     if up is None:
         return p, []
     n = len(p)

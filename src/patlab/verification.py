@@ -22,7 +22,7 @@ from .enumeration import (
     walk_avoiders,
 )
 from .errors import UsageError, VerificationFailure
-from .maps import _MAPS, _enter, _param, map_classes
+from .maps import _MAPS, _enter, _free_below, _param, map_classes
 
 # Not called here since certification runs the kernels of the map table, but
 # still imported: the benchmark's tracer wraps these names on this module.
@@ -145,6 +145,31 @@ def _split(w: Perm) -> tuple[Perm, int]:
     return w[:s] + w[s + 1 :], s
 
 
+def _walk_rank_free(source: PatternBasis, k: int, max_n: int, visit, node_budget) -> list[int]:
+    """``walk_avoiders`` over ``source``, calling ``visit(p, free)`` on
+    every member p, where ``free`` is whether p has no 12...k (k >= 1);
+    returns the walk's sizes.
+
+    The walk visits in depth-first preorder: the parent of a member p of
+    length n (p without its maximum) is the last member of length n-1
+    visited before it. So p is free iff its parent is and the slot of its
+    maximum lies below the parent's ``maps._free_below``, kept per length
+    for the last member visited (0 when it is not free). Only free members
+    with children make the patience pass of that bound."""
+    below = [0] * (max_n + 1)
+
+    def emit(p: Perm, dead) -> None:
+        n = len(p)
+        free = p.index(n) < below[n - 1] if n else True
+        if not free:
+            below[n] = 0
+        elif dead is not None and dead != (1 << (n + 1)) - 1:
+            below[n] = _free_below(p, k)
+        visit(p, free)
+
+    return walk_avoiders(source, max_n, emit, node_budget=node_budget)
+
+
 def _unpack(bits: dict[Perm, int], n: int):
     """The permutations of length n whose bits are set in ``bits``."""
     for key, live in bits.items():
@@ -178,7 +203,10 @@ def certify_map(
 
     The source is then streamed through ``walk_avoiders``, and the map's
     output-only kernel, read from the map table in ``maps``, runs at each
-    member; no level of either class is kept as a set. Each image sets one
+    member; no level of either class is kept as a set. The walk tells the
+    kernel which members have no 12...k (``_walk_rank_free``), and the
+    roundtrip kernel when the image is the member itself, so neither makes
+    the patience pass that would find none. Each image sets one
     hit bit keyed the same way, above the dead slots of its key in the
     target masks. A key the target lacks enters with all its slots dead, so
     its images go to the pattern search and it adds no target member. A hit
@@ -198,9 +226,9 @@ def certify_map(
     collided = [False] * (max_n + 1)
     least: list = [None] * (max_n + 1)  # per length: (input, counterexample)
 
-    def visit(p: Perm, _mask) -> None:
+    def visit(p: Perm, free: bool) -> None:
         n = len(p)
-        w, _ = spec.kernel(p, k, x)
+        w, _ = spec.kernel(p, k, x, free)
         bad = None
         # one key and slot per image: the membership bit, then the hit bit
         # above the key's n dead-slot bits; a key outside the target gets
@@ -218,7 +246,7 @@ def certify_map(
                 "output": format_perm(w),
             }
         if backward is not None:
-            back = backward(w, k, x)[0]
+            back = backward(w, k, x, free and w == p)[0]
             if back != p:
                 unrecovered[n] = True
                 bad = bad or {
@@ -235,7 +263,7 @@ def certify_map(
                 collided[n] = True
             masks[key] = dead | 1 << (s + n)
 
-    src_sizes = walk_avoiders(source, max_n, visit, node_budget=node_budget)
+    src_sizes = _walk_rank_free(source, k, max_n, visit, node_budget)
     tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
     for key, bits in masks.items():
@@ -352,7 +380,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     closed, and collect its minimal non-members: permutations outside the
     image whose every single-entry deletion lies inside.
 
-    The source is streamed through ``walk_avoiders`` and H's output-only
+    The source is streamed through ``_walk_rank_free`` and H's output-only
     kernel; image[n] is kept as live masks, {w without its maximum: the
     slots of that maximum}, like ``avoider_masks`` with the bits inverted.
     No sweep over all n! permutations: a minimal non-member q of length n
@@ -374,14 +402,14 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
         raise UsageError(f"max_len is capped at 9, got {max_len}")
     image: list[dict[Perm, int]] = [{} for _ in range(max_len + 1)]
 
-    def visit(p: Perm, _mask) -> None:
-        w = kernel(p, k, j)[0]
+    def visit(p: Perm, free: bool) -> None:
+        w = kernel(p, k, j, free)[0]
         if w:  # H maps () to itself
             key, s = _split(w)
             level = image[len(w)]
             level[key] = level.get(key, 0) | 1 << s
 
-    sizes = walk_avoiders(map_classes("H", k, j)[0], max_len, visit, node_budget=node_budget)
+    sizes = _walk_rank_free(map_classes("H", k, j)[0], k, max_len, visit, node_budget)
     for n in range(1, max_len + 1):
         sizes[n] = sum(live.bit_count() for live in image[n].values())
     def members(n: int):

@@ -473,6 +473,22 @@ class TestBudgetsAndCaps:
 
 
 class TestWalk:
+    @pytest.mark.parametrize("patterns", MISC_BASES[:10])
+    def test_preorder_parent_is_the_last_shorter_member(self, patterns):
+        # the walk is depth-first preorder: each member's parent, the member
+        # without its maximum, is the last member one shorter visited before
+        # it (certification's rank-free bit rests on this)
+        last, orphans = {}, []
+
+        def emit(p, _mask):
+            n = len(p)
+            if n and last.get(n - 1) != tuple(v for v in p if v != n):
+                orphans.append(p)
+            last[n] = p
+
+        sizes = walk_avoiders(basis_of(patterns), 7, emit)
+        assert orphans == [] and sizes[7]
+
     def test_zero_length(self):
         basis = basis_of(["12"])
         assert levels_avoiders(basis, 0)[0] == {()}

@@ -590,6 +590,8 @@ class TestRankFree:
             for p in free:
                 output, extra = _MAPS[name].kernel(p, k, x)
                 assert output == p and not extra, (x, p)
+                # told so, the kernel returns the same at once
+                assert _MAPS[name].kernel(p, k, x, True) == (output, extra), (x, p)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_role_sets_are_empty(self, k):

@@ -32,13 +32,14 @@ from patlab import (
     verify_wilf,
 )
 from patlab.enumeration import CountSequence
-from patlab.maps import _window_kernel
+from patlab.maps import _MAPS, _window_kernel
+from patlab.perms import _up_runs
 
-# (map, k, params) for every map and parameter at k = 3 and 4
+# (map, k, params) for every map and parameter at k = 2 to 5
 CERTIFY_CASES = (
-    [("F", k, {"i": i}) for k in (3, 4) for i in range(k)]
-    + [("G", k, {}) for k in (3, 4)]
-    + [("H", k, {"j": j}) for k in (3, 4) for j in range(2, k + 1)]
+    [("F", k, {"i": i}) for k in (2, 3, 4, 5) for i in range(k)]
+    + [("G", k, {}) for k in (2, 3, 4, 5)]
+    + [("H", k, {"j": j}) for k in (2, 3, 4, 5) for j in range(2, k + 1)]
 )
 
 
@@ -86,7 +87,9 @@ def oracle_certify_rows(map_name, k, max_n, i=None, j=None):
 
 
 # Broken kernels for TestCertifyFailures, with the signatures of
-# maps._f_kernel (p, k, i) and maps._window_kernel (p, k, rank, exclude_lower).
+# maps._f_kernel (p, k, i, free) and maps._window_kernel (p, k, rank,
+# exclude_lower, free). They ignore ``free``, or forward it to the kernel
+# they wrap.
 
 
 def _identity_map(p, *args):
@@ -105,10 +108,10 @@ class _G_without_inverse:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, p, k, rank, exclude_lower):
+    def __call__(self, p, k, rank, exclude_lower, free=False):
         self.calls += 1
         if self.calls % 2:
-            return _window_kernel(p, k, rank, exclude_lower)
+            return _window_kernel(p, k, rank, exclude_lower, free)
         return p, ()
 
 
@@ -211,6 +214,42 @@ class TestCertifyAgainstOracle:
         assert list(report.rows) == oracle_certify_rows(map_name, k, 6, **params)
 
 
+def map_sources(k):
+    """The (j, i) of every source class M(k,j,i) of the map table at k."""
+    sources = set()
+    for spec in _MAPS.values():
+        if spec.param == "i":
+            xs = range(k)
+        elif spec.param == "j":
+            xs = range(2, k + 1)
+        else:
+            xs = [spec.direction] if k >= 2 else []
+        sources.update(spec.classes(x)[0] for x in xs)
+    return sorted(sources)
+
+
+class TestRankFreeWalk:
+    """Certification and discovery read "p has no 12...k" off p's parent in
+    the walk (``verification._walk_rank_free``); the oracle is one patience
+    pass per member."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bit_on_every_source_member_to_length_8(self, k):
+        # every source class of the maps at k, and Av(321), rich in 12...k
+        bases = [monotone_basis(k, j, i) for j, i in map_sources(k)]
+        for basis in bases + [make_basis([(3, 2, 1)])]:
+            seen, wrong = {True: 0, False: 0}, []
+
+            def visit(p, free):
+                seen[free] += 1
+                if free != (k not in _up_runs(p)):
+                    wrong.append(p)
+
+            verification._walk_rank_free(basis, k, 8, visit, None)
+            assert wrong == [], (basis.label, wrong[:3])
+            assert seen[False], basis.label  # every class here has a 12...k by n=8
+
+
 class TestCertifyFailures:
     """Broken maps patched into the module must fail with an exact witness."""
 
@@ -252,7 +291,8 @@ class TestCertifyFailures:
         # (see F-identity); its roundtrip fails too, and the image is named
         monkeypatch.setattr(maps, "_f_kernel", _identity_map)
         monkeypatch.setattr(
-            maps, "_finv_kernel", lambda w, k, i: (4, 3, 2, 1) if w == (1, 3, 2, 4) else w
+            maps, "_finv_kernel",
+            lambda w, k, i, free=False: (4, 3, 2, 1) if w == (1, 3, 2, 4) else w,
         )
         report = certify_map("F", 3, i=0, max_n=5)
         assert report.counterexample == {
@@ -263,8 +303,8 @@ class TestCertifyFailures:
     def test_collision_across_subtrees(self, monkeypatch):
         # 213 (under 21) takes the image of 132 (under 12); the tree visits
         # them far apart, and the hit masks still see the shared output
-        def broken_H(p, k, rank, exclude_lower):
-            return _window_kernel((1, 3, 2) if p == (2, 1, 3) else p, k, rank, exclude_lower)
+        def broken_H(p, k, rank, exclude_lower, free=False):
+            return _window_kernel((1, 3, 2) if p == (2, 1, 3) else p, k, rank, exclude_lower, free)
 
         monkeypatch.setattr(maps, "_window_kernel", broken_H)
         report = certify_map("H", 4, j=3, max_n=5)
@@ -303,8 +343,8 @@ class TestCertifyFailures:
         parent = lambda p: tuple(v for v in p if v < len(p))
         stray = min(p for p in levels_avoiders(source, 6)[6] if not avoids_basis(parent(p), target))
 
-        def broken_H(p, k, rank, exclude_lower):
-            return (p, ()) if p == stray else _window_kernel(p, k, rank, exclude_lower)
+        def broken_H(p, k, rank, exclude_lower, free=False):
+            return (p, ()) if p == stray else _window_kernel(p, k, rank, exclude_lower, free)
 
         monkeypatch.setattr(maps, "_window_kernel", broken_H)
         report = certify_map("H", 4, j=3, max_n=6)
@@ -321,10 +361,10 @@ class TestCertifyFailures:
         # and the named input is the least, 213, not the first visited
         escapes = {(2, 3, 1): (1, 3, 2), (2, 1, 3): (2, 1, 3)}
 
-        def broken_H(p, k, rank, exclude_lower):
+        def broken_H(p, k, rank, exclude_lower, free=False):
             if p in escapes:
                 return escapes[p], ()
-            return _window_kernel(p, k, rank, exclude_lower)
+            return _window_kernel(p, k, rank, exclude_lower, free)
 
         monkeypatch.setattr(maps, "_window_kernel", broken_H)
         visited = []
@@ -351,7 +391,7 @@ class TestCertifyFailures:
          "1243 drops to the non-member 123", (1, 2, 4, 3)),
     ])
     def test_closure_failure_names_the_least_witness(self, monkeypatch, swap, message, witness):
-        def broken_H(p, k, rank, exclude_lower):
+        def broken_H(p, k, rank, exclude_lower, free=False):
             return swap.get(p, p), ()
 
         monkeypatch.setattr(maps, "_window_kernel", broken_H)
