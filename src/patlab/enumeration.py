@@ -16,9 +16,14 @@ of q's maximum (-1 if none) and b the position of the entry just right of it
 inserted maximum; the only new ones come from occurrences of q' that use the
 new maximum, which must play the maximum of q'. Without it they are the
 occurrences of q'' (q' without its maximum) in the parent, which do not
-depend on the slot: so each parent runs one search for q'' per basis
-pattern and scatters each occurrence to the live slots it serves, and the
-last two levels are counted from masks without building a permutation. The
+depend on the slot. Each parent takes one kill step per basis pattern, and
+the last two levels are counted from masks without building a permutation.
+For a fixed slot, every kill range has the same end at the slot or at the
+border whenever at most one end depends on the occurrence; the union of the
+ranges is then one range, set by the extremum of the other end, and for q''
+of length 3 one sweep over the parent finds it for every slot. The other
+entries (both ends at entries of q'', or q'' of another length) search for
+every occurrence and scatter each one to the live slots it serves. The
 brute-force filter is the oracle this answers to.
 
 Counting mode never materializes permutations; ``walk_avoiders`` hands
@@ -112,11 +117,40 @@ class _NodeBudget:
 # -- the generating-tree kernel ---------------------------------------------
 
 
+def _kind(kq: int, m: int, m2: int) -> str | None:
+    """Which end of the kill range (a, b] an occurrence of q'' sets, named by
+    the one q'' index it reads; None when both ends are entries of q''.
+
+    - "A" (-1, pos[0]]: m = 0 < m2, so the largest pos[0] wins;
+    - "B" (pos[m2-1], s0]: m = m2 >= 1, the least pos[m2-1];
+    - "C" (s0, pos[m2] + 1]: m = m2 + 1 <= kq, the largest pos[m2];
+    - "D" (pos[kq-1] + 1, n + 1]: m = kq + 1 > m2 + 1, the least pos[kq-1];
+    - "E" (s0, n + 1] or (-1, s0]: no end depends on the occurrence."""
+    if m < m2:
+        return None if m else "A"
+    if m == m2:
+        return "B" if m else "E"
+    if m == m2 + 1:
+        return "E" if m > kq else "C"
+    return "D" if m > kq else None
+
+
 def _kill_table(patterns) -> tuple[tuple, ...]:
-    """One entry ``(len q'', m, m2, lo_ref, hi_ref, gaps)`` per basis
+    """One entry ``(len q'', m, m2, lo_ref, hi_ref, gaps, sweep)`` per basis
     pattern q of length >= 2, where q' is q without its maximum and q'' is q'
     without its maximum, m and m2 are the positions of the maxima of q and q',
-    and the refs are the value bounds of q''."""
+    and the refs are the value bounds of q''.
+
+    Each entry's method is fixed here. ``sweep`` is None for the occurrence
+    search (``_search``). For a q'' of length 3 whose kill range has one
+    free end (``_kind``), it is the arguments of ``_sweep``:
+    ``(kind, scalar, flip0, flip2, joint)``. ``scalar`` marks the kinds
+    where one number per parent settles every slot; ``flip0`` is -1 when
+    q''s first entry lies below its middle one (else 0), ``flip2`` -1 when
+    its last lies below it; ``joint`` is 0 when the middle entry has the
+    middle value, else the sign of last minus first. An entry that reads one
+    outer entry of q'' while the other outer entry bounds the served slots
+    (A at m2 >= 2, D at m2 <= 1) keeps the search when joint != 0."""
     table = []
     for q in patterns:
         k = len(q)
@@ -125,25 +159,32 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
         m = q.index(k)
         q1 = q[:m] + q[m + 1 :]
         m2 = q1.index(k - 1)
+        q2 = q1[:m2] + q1[m2 + 1 :]
         # U is in gaps when (pos[U-1], pos[U]] must hold a live slot of p:
         # the slots an occurrence serves, and its kill range when both ends
         # are entries of q'' (a range of dead slots adds nothing)
         gaps = frozenset((m2, m - 1 if m2 < m - 1 else m if m < m2 else m2))
-        table.append((k - 2, m, m2, *_bound_refs(q1[:m2] + q1[m2 + 1 :]), gaps))
+        kind = _kind(k - 2, m, m2)
+        sweep = None
+        if k == 5 and kind is not None:
+            u0, u1, u2 = q2
+            joint = 0 if u1 == 2 else 1 if u0 < u2 else -1
+            if not joint or not (kind == "A" and m2 > 1 or kind == "D" and m2 < 2):
+                scalar = kind == "E" or kind == "B" and m2 == 3 or kind == "C" and not m2
+                sweep = (kind, scalar, -(u0 < u1), -(u2 < u1), joint)
+        table.append((k - 2, m, m2, *_bound_refs(q2), gaps, sweep))
     return tuple(table)
 
 
-def _new_kills(p: Perm, live: int, table) -> list[int]:
-    """The new dead slots of each child of ``p``: entry s0 is the mask of
-    child slots killed by a maximum inserted at live slot s0.
-
-    Per table entry, one search lists the occurrences of q'' in p. An
-    occurrence at positions ``pos`` serves every live s0 in (pos[m2-1],
-    pos[m2]], taking pos[-1] = -1 and pos[len q''] = len(p). It kills the
-    child slots (a, b]: the child positions of q' indices m-1 and m, each s0
-    (index m2) or an entry of ``pos``, one place right when past s0."""
+def _search(p: Perm, live: int, new: list, kq, m, m2, lo_ref, hi_ref, gaps) -> None:
+    """Add one kill-table entry's kills to ``new`` by listing the occurrences
+    of q'' in p. An occurrence at positions ``pos`` serves every live s0 in
+    (pos[m2-1], pos[m2]], taking pos[-1] = -1 and pos[len q''] = len(p). It
+    kills the child slots (a, b]: the child positions of q' indices m-1 and
+    m, each s0 (index m2) or an entry of ``pos``, one place right when past
+    s0."""
     n = len(p)
-    new, pos, vals, stops = [0] * (n + 1), [0] * n, [0] * n, [0] * n
+    pos, vals, stops = [0] * n, [0] * n, [0] * n
 
     def scatter() -> None:
         # None stands for s0 itself; a is -1 when m = 0, b is n + 1 when m is last
@@ -177,20 +218,186 @@ def _new_kills(p: Perm, live: int, table) -> list[int]:
                     vals[t] = v
                     place(t + 1, x + 1)
 
+    # index t leaves room for the indices after it, and a live slot right
+    # of it when t + 1 is in gaps
     top = live.bit_length() - 1
-    for kq, m, m2, lo_ref, hi_ref, gaps in table:
+    stop = n + 1
+    for t in range(kq - 1, -1, -1):
+        stop = min(stop - 1, top) if t + 1 in gaps else stop - 1
+        stops[t] = stop
+    if kq:
+        place(0, 0)
+    else:
+        scatter()
+
+
+def _sweep(
+    p: Perm, live: int, new: list, above: list, m2: int, kind, scalar, flip0, flip2, joint
+) -> None:
+    """Add one kill-table entry's kills to ``new`` by one sweep over p.
+
+    For a fixed live slot s0, every occurrence of q'' serving s0 kills a
+    range with the same fixed end, so their union is one range, set by the
+    extremum of the other end. Each y is tried as q''s middle entry: bit
+    masks x0 and x2 hold the positions that complete an occurrence through y
+    as its first and its last entry (``above[v]`` holds the positions of the
+    values above v). Those occurrences serve the slots [0, max x0],
+    (min x0, y], (y, max x2] or (min x2, n] as m2 is 0..3, and per slot the
+    free end is the best over the y serving it of max x0, min x0, y, min x2
+    or max x2. In a scalar kind that is the first end (m2 = 3) or the last
+    start (m2 = 0) of any occurrence. Where the free end is the entry nearest
+    s0 across y (A at m2 = 1, D at m2 = 2), it is read off the union of the
+    masks of every y on the far side of s0."""
+    n = len(p)
+    full, top = (1 << n) - 1, (1 << (n + 2)) - 1
+    first = scalar and m2  # the first end: no y at or past it can lower it
+    e = n if m2 else -1
+    if not scalar:
+        xs0, xs2 = [0] * n, [0] * n
+    seen = 1 << p[0]  # the values left of y, then up to y
+    for y in range(1, n - 1):
+        if first and y + 1 >= e:
+            break
+        v = p[y]
+        left, seen = seen, seen | 1 << v
+        # a flip of -1 turns the positions above v into those below it
+        x0 = (above[v] ^ flip0) & ((1 << y) - 1)
+        if not x0:
+            continue
+        x2 = ((above[v] ^ flip2) & full) >> (y + 1) << (y + 1)
+        if not x2:
+            continue
+        if joint:
+            # both outer entries lie on one side of v: keep the positions
+            # the other side's extreme value still completes
+            side = (1 << v) - 1 if flip0 else ~((2 << v) - 1)
+            left, right = left & side, ((2 << n) - 2 ^ seen) & side
+            if joint > 0:  # the first entry below the last
+                lo, hi = (left & -left).bit_length() - 1, right.bit_length() - 1
+                x0, x2 = x0 & (full ^ above[hi - 1]), x2 & above[lo]
+            else:
+                lo, hi = (right & -right).bit_length() - 1, left.bit_length() - 1
+                x0, x2 = x0 & above[lo], x2 & (full ^ above[hi - 1])
+            if lo > hi:
+                continue
+        if not scalar:
+            xs0[y], xs2[y] = x0, x2
+        elif m2:
+            e = min(e, (x2 & -x2).bit_length() - 1)
+        else:
+            e = max(e, x0.bit_length() - 1)
+    if scalar:
+        slots = live >> (e + 1) << (e + 1) if m2 else live & ((1 << (e + 1)) - 1)
+        while slots:
+            low = slots & -slots
+            slots ^= low
+            if kind == "B":  # (e, s0]
+                kill = ((low << 1) - 1) ^ ((2 << e) - 1)
+            elif kind == "C":  # (s0, e + 1]
+                kill = ((4 << e) - 1) ^ ((low << 1) - 1)
+            else:  # (s0, n + 1] or (-1, s0]
+                kill = top ^ ((low << 1) - 1) if m2 else (low << 1) - 1
+            new[low.bit_length() - 1] |= kill
+        return
+    if m2 == 3:  # A: the largest x0 of a y whose first x2 is left of s0
+        best = [-1] * n
+        for x0, x2 in zip(xs0, xs2):
+            if x0:
+                at = (x2 & -x2).bit_length() - 1
+                best[at] = max(best[at], x0.bit_length() - 1)
+        run = -1
+        for s0 in range(1, n + 1):
+            run = max(run, best[s0 - 1])
+            if run >= 0 and live >> s0 & 1:
+                new[s0] |= (2 << run) - 1
+        return
+    if not m2:  # D: the least x2 of a y whose last x0 is at or right of s0
+        best = [n] * n
+        for x0, x2 in zip(xs0, xs2):
+            if x0:
+                at = x0.bit_length() - 1
+                best[at] = min(best[at], (x2 & -x2).bit_length() - 1)
+        run = n
+        for s0 in range(n - 1, -1, -1):
+            run = min(run, best[s0])
+            if run < n and live >> s0 & 1:
+                new[s0] |= top ^ ((4 << run) - 1)
+        return
+    if kind == "A" and m2 == 1:  # the last x0 left of s0, for y at or right of s0
+        union = 0
+        for s0 in range(n - 2, 0, -1):
+            union |= xs0[s0]
+            left = union & ((1 << s0) - 1)
+            if left and live >> s0 & 1:
+                new[s0] |= (1 << left.bit_length()) - 1
+        return
+    if kind == "D" and m2 == 2:  # the first x2 at or right of s0, for y left of s0
+        union = 0
+        for s0 in range(2, n):
+            union |= xs2[s0 - 1]
+            right = union >> s0 << s0
+            if right and live >> s0 & 1:
+                new[s0] |= top ^ (((right & -right) << 2) - 1)
+        return
+    if kind == "C" and m2 == 2:  # the last x2 of a y left of s0, if at or past s0
+        run = -1
+        for s0 in range(2, n):
+            run = max(run, xs2[s0 - 1].bit_length() - 1)
+            if run >= s0 and live >> s0 & 1:
+                new[s0] |= ((4 << run) - 1) ^ ((2 << s0) - 1)
+        return
+    # A, B at m2 = 2 and B, C, D at m2 = 1: the best free end per slot over
+    # the y serving it, each y serving (y, max x2] or (min x0, y]
+    best = [None] * (n + 1)
+    for y in range(1, n - 1):
+        x0, x2 = xs0[y], xs2[y]
+        if not x0:
+            continue
+        if m2 == 2:
+            lo, hi = y, x2.bit_length() - 1
+            end = y if kind == "B" else x0.bit_length() - 1
+        else:
+            lo, hi = (x0 & -x0).bit_length() - 1, y
+            end = y if kind == "C" else lo if kind == "B" else (x2 & -x2).bit_length() - 1
+        for s0 in range(lo + 1, hi + 1):
+            b = best[s0]
+            if b is None or (end > b if kind in "AC" else end < b):
+                best[s0] = end
+    for s0, end in enumerate(best):
+        if end is None or not live >> s0 & 1:
+            continue
+        if kind == "A":  # (-1, end]
+            new[s0] |= (2 << end) - 1
+        elif kind == "B":  # (end, s0]
+            new[s0] |= ((2 << s0) - 1) ^ ((2 << end) - 1)
+        elif kind == "C":  # (s0, end + 1]
+            new[s0] |= ((4 << end) - 1) ^ ((2 << s0) - 1)
+        else:  # (end + 1, n + 1]
+            new[s0] |= top ^ ((4 << end) - 1)
+
+
+def _new_kills(p: Perm, live: int, table) -> list[int]:
+    """The new dead slots of each child of ``p``: entry s0 is the mask of
+    child slots killed by a maximum inserted at live slot s0, the union over
+    the kill table's entries of ``_sweep`` or ``_search``. A sweep may also
+    kill slots that are dead in p already, which the search skips; the child
+    masks, each the parent's shifted past s0 OR entry s0, are the same."""
+    n = len(p)
+    new = [0] * (n + 1)
+    above = None
+    for kq, m, m2, lo_ref, hi_ref, gaps, sweep in table:
         if kq > n:
             continue
-        # index t leaves room for the indices after it, and a live slot
-        # right of it when t + 1 is in gaps
-        stop = n + 1
-        for t in range(kq - 1, -1, -1):
-            stop = min(stop - 1, top) if t + 1 in gaps else stop - 1
-            stops[t] = stop
-        if kq:
-            place(0, 0)
-        else:
-            scatter()
+        if sweep is None:
+            _search(p, live, new, kq, m, m2, lo_ref, hi_ref, gaps)
+            continue
+        if above is None:
+            # above[v]: the positions of p holding a value above v
+            above, acc = [0] * (n + 1), 0
+            for x in sorted(range(n), key=p.__getitem__, reverse=True):
+                acc |= 1 << x
+                above[p[x] - 1] = acc
+        _sweep(p, live, new, above, m2, *sweep)
     return new
 
 

@@ -226,3 +226,77 @@ def monotone_counts(k: int, j: int, i: int, max_n: int) -> tuple[int, ...]:
     if cached is not None and cached[0] >= max_n:
         return tuple(len(cached[1][n]) for n in range(max_n + 1))
     return count_sequence(max_n, monotone_basis(k, j, i)).values()
+
+
+# -- reference kill search ---------------------------------------------------
+
+
+def reference_new_kills(p, live, patterns):
+    """The generating-tree kernel's kill step by its occurrence search alone:
+    every occurrence of q'' (q without its maximum and q' = q without its
+    maximum, then without that) is listed and scattered to the live slots
+    s0 it serves, killing the child slots between the child positions of q'
+    indices m-1 and m. Entry s0 is the new dead-slot mask of the child with
+    the maximum at slot s0; a child's mask is the parent's, shifted past s0,
+    OR this entry."""
+    n = len(p)
+    new, pos, vals, stops = [0] * (n + 1), [0] * n, [0] * n, [0] * n
+
+    def scatter():
+        # None stands for s0 itself; a is -1 when m = 0, b is n + 1 when m is last
+        a = -1 if not m else None if m - 1 == m2 else pos[m - 1] if m - 1 < m2 else pos[m - 2] + 1
+        b = n + 1 if m > kq else None if m == m2 else pos[m] if m < m2 else pos[m - 1] + 1
+        for s0 in range(pos[m2 - 1] + 1 if m2 else 0, (pos[m2] if m2 < kq else n) + 1):
+            if live >> s0 & 1:
+                lo = s0 if a is None else a
+                hi = s0 if b is None else b
+                new[s0] |= ((1 << (hi + 1)) - 1) ^ ((1 << (lo + 1)) - 1)
+
+    def place(t, start):
+        if t in gaps:
+            after = live >> start << start
+            if not after:
+                return
+            start = (after & -after).bit_length() - 1
+        r = lo_ref[t]
+        lo = vals[r] if r >= 0 else 0
+        r = hi_ref[t]
+        hi = vals[r] if r >= 0 else n + 1
+        for x in range(start, stops[t]):
+            v = p[x]
+            if lo < v < hi:
+                pos[t] = x
+                if t + 1 == kq:
+                    scatter()
+                else:
+                    vals[t] = v
+                    place(t + 1, x + 1)
+
+    top = live.bit_length() - 1
+    for q in patterns:
+        k = len(q)
+        if k < 2:
+            continue
+        m = q.index(k)
+        q1 = q[:m] + q[m + 1 :]
+        m2 = q1.index(k - 1)
+        q2 = q1[:m2] + q1[m2 + 1 :]
+        kq = k - 2
+        if kq > n:
+            continue
+        # the value bounds of each q'' index: the nearest earlier index below
+        # and above it (-1 when none)
+        lo_ref = [max((s for s in range(t) if q2[s] < q2[t]), key=q2.__getitem__, default=-1)
+                  for t in range(kq)]
+        hi_ref = [min((s for s in range(t) if q2[s] > q2[t]), key=q2.__getitem__, default=-1)
+                  for t in range(kq)]
+        gaps = {m2, m - 1 if m2 < m - 1 else m if m < m2 else m2}
+        stop = n + 1
+        for t in range(kq - 1, -1, -1):
+            stop = min(stop - 1, top) if t + 1 in gaps else stop - 1
+            stops[t] = stop
+        if kq:
+            place(0, 0)
+        else:
+            scatter()
+    return new

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import patlab.enumeration as enumeration
-from conftest import oracle_avoids_basis, perms
+from conftest import oracle_avoids_basis, perms, reference_new_kills
 from patlab import (
     BudgetExceededError,
     InternalCheckError,
@@ -343,6 +343,14 @@ class TestKernelOracle:
     def test_masks_of_every_short_pattern(self, pattern):
         self.assert_masks_are_dead_slots(basis_of([pattern]))
 
+    # every single pattern of length 5: every q'' of length 3 at every
+    # (m, m2), so every kind of kill-table entry, swept or searched
+    @pytest.mark.parametrize(
+        "pattern", ["".join(map(str, q)) for q in permutations(range(1, 6))]
+    )
+    def test_masks_of_every_pattern_of_length_5(self, pattern):
+        self.assert_masks_are_dead_slots(basis_of([pattern]), max_len=5)
+
     # both ends of the kill range are entries of q'': right of q''s maximum
     # (41253, 41532), left of it (13524); a wrong index in the kill table's
     # gaps first shows in the masks of length 6 or 7
@@ -400,6 +408,66 @@ class TestKernelOracle:
     def test_parallel_matches_sequential(self, basis):
         seq = count_sequence(8, basis)
         assert count_sequence(8, basis, parallel=True).counts == seq.counts
+
+
+class TestKillSweeps:
+    """The kill step against its occurrence search, ``reference_new_kills``."""
+
+    @staticmethod
+    def assert_child_masks_match_the_search(basis, max_len):
+        table = enumeration._kill_table(basis.patterns)
+        parents = []
+
+        def check(p, dead):
+            if dead is None:
+                return
+            parents.append(p)
+            live = ~dead & ((1 << (len(p) + 1)) - 1)
+            got = enumeration._new_kills(p, live, table)
+            want = reference_new_kills(p, live, basis.patterns)
+            for s0 in range(len(p) + 1):
+                if live >> s0 & 1:
+                    # the child's mask: p's, shifted past the new maximum
+                    inherited = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1))
+                    assert inherited | got[s0] == inherited | want[s0], (basis.label, p, s0)
+
+        walk_avoiders(basis, max_len, check)
+        assert max(map(len, parents)) == max_len - 1
+
+    # children to length 8 (k=5 to 7: q'' has length 4 there, so both sides
+    # run the search)
+    @pytest.mark.parametrize(
+        "k,j,i",
+        [(k, j, i) for k in (3, 4, 5) for j in range(1, k + 2) for i in range(1, k + 2)],
+    )
+    def test_monotone_classes(self, k, j, i):
+        self.assert_child_masks_match_the_search(monotone_basis(k, j, i), 8 if k < 5 else 7)
+
+    # every q'' of length 3 at every (m, m2), children to length 6: sweeping
+    # an entry that must search, such as 53124 (q'' = 312, kill (-1, pos[0]]),
+    # first goes wrong on parents of length 5
+    @pytest.mark.parametrize(
+        "pattern", ["".join(map(str, q)) for q in permutations(range(1, 6))]
+    )
+    def test_every_pattern_of_length_5(self, pattern):
+        self.assert_child_masks_match_the_search(basis_of([pattern]), 6)
+
+    def test_wilf_chain_routing(self):
+        # all 20 entries sweep but the two whose kill range has both ends at
+        # entries of q'': 12534 in M(4,3,3) and 15234 in M(4,2,2)
+        routes = []
+        for t in range(1, 6):
+            patterns = monotone_basis(4, t, t).patterns
+            routes += zip(patterns, enumeration._kill_table(patterns))
+        assert len(routes) == 20
+        assert sorted(q for q, entry in routes if entry[-1] is None) == [
+            (1, 2, 5, 3, 4),
+            (1, 5, 2, 3, 4),
+        ]
+
+    def test_short_and_long_q2_keep_the_search(self):
+        table = enumeration._kill_table([(1, 2), (1, 3, 2), (2, 1, 4, 3), (1, 2, 3, 4, 5, 6)])
+        assert [entry[-1] for entry in table] == [None] * 4
 
 
 class TestBudgetsAndCaps:
