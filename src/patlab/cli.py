@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -43,6 +44,9 @@ EXIT_EXPERIMENT = 3
 HARD_MAX_N = 12
 
 
+# Built once per process: parsing does not change the parser, and a parser
+# is a web of reference cycles that only the cyclic collector frees.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patlab",

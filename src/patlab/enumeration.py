@@ -21,10 +21,13 @@ the last two levels are counted from masks without building a permutation.
 For a fixed slot, every kill range has the same end at the slot or at the
 border whenever at most one end depends on the occurrence; the union of the
 ranges is then one range, set by the extremum of the other end, and for q''
-of length 3 one sweep over the parent finds it for every slot. The other
-entries (both ends at entries of q'', or q'' of another length) search for
-every occurrence and scatter each one to the live slots it serves. The
-brute-force filter is the oracle this answers to.
+of length 3 one sweep over the parent finds it for every slot. The same
+sweep takes ranges with both ends at adjacent entries of a q'' of 123 or 321
+shape whose occurrences serve the slots past it: each range then counts for
+every slot after its last entry, so the ranges are bucketed by that slot and
+OR-ed up. The other entries (both ends at entries of q'' otherwise, or q''
+of another length) search for every occurrence and scatter each one to the
+live slots it serves. The brute-force filter is the oracle this answers to.
 
 Counting mode never materializes permutations; ``walk_avoiders`` hands
 every avoider and its mask to a callback, ``levels_avoiders`` returns the
@@ -143,7 +146,9 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
 
     Each entry's method is fixed here. ``sweep`` is None for the occurrence
     search (``_search``). For a q'' of length 3 whose kill range has one
-    free end (``_kind``), it is the arguments of ``_sweep``:
+    free end (``_kind``), or whose middle entry has the middle value and
+    whose kill range is (pos[0], pos[1]] ("01") or (pos[1], pos[2]] ("12")
+    at m2 = 3, it is the arguments of ``_sweep``:
     ``(kind, scalar, flip0, flip2, joint)``. ``scalar`` marks the kinds
     where one number per parent settles every slot; ``flip0`` is -1 when
     q''s first entry lies below its middle one (else 0), ``flip2`` -1 when
@@ -166,10 +171,14 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
         gaps = frozenset((m2, m - 1 if m2 < m - 1 else m if m < m2 else m2))
         kind = _kind(k - 2, m, m2)
         sweep = None
-        if k == 5 and kind is not None:
+        if k == 5:
             u0, u1, u2 = q2
             joint = 0 if u1 == 2 else 1 if u0 < u2 else -1
-            if not joint or not (kind == "A" and m2 > 1 or kind == "D" and m2 < 2):
+            if kind is None and m2 == 3 and not joint:
+                kind = "01" if m == 1 else "12"  # (pos[0], pos[1]] or (pos[1], pos[2]]
+            if kind is not None and (
+                not joint or not (kind == "A" and m2 > 1 or kind == "D" and m2 < 2)
+            ):
                 scalar = kind == "E" or kind == "B" and m2 == 3 or kind == "C" and not m2
                 sweep = (kind, scalar, -(u0 < u1), -(u2 < u1), joint)
         table.append((k - 2, m, m2, *_bound_refs(q2), gaps, sweep))
@@ -247,7 +256,11 @@ def _sweep(
     or max x2. In a scalar kind that is the first end (m2 = 3) or the last
     start (m2 = 0) of any occurrence. Where the free end is the entry nearest
     s0 across y (A at m2 = 1, D at m2 = 2), it is read off the union of the
-    masks of every y on the far side of s0."""
+    masks of every y on the far side of s0. At m2 = 3 every slot past an x2
+    is served, so each y's range counts from the slot after its least x2 on:
+    (-1, max x0] for A and (min x0, y] for "01"; for "12" each x2 kills
+    (y, x2] from the slot after it on, with the least y that completes it.
+    x0 and x2 range independently there, as the middle value lies between."""
     n = len(p)
     full, top = (1 << n) - 1, (1 << (n + 2)) - 1
     first = scalar and m2  # the first end: no y at or past it can lower it
@@ -299,17 +312,26 @@ def _sweep(
                 kill = top ^ ((low << 1) - 1) if m2 else (low << 1) - 1
             new[low.bit_length() - 1] |= kill
         return
-    if m2 == 3:  # A: the largest x0 of a y whose first x2 is left of s0
-        best = [-1] * n
-        for x0, x2 in zip(xs0, xs2):
-            if x0:
-                at = (x2 & -x2).bit_length() - 1
-                best[at] = max(best[at], x0.bit_length() - 1)
-        run = -1
+    if m2 == 3:  # slots past an x2: each range counts from the slot after its x2 on
+        at, taken = [0] * (n + 1), 0
+        for y, (x0, x2) in enumerate(zip(xs0, xs2)):
+            if not x0:
+                continue
+            if kind == "A":  # (-1, max x0] from the first x2 on
+                at[(x2 & -x2).bit_length()] |= (1 << x0.bit_length()) - 1
+            elif kind == "01":  # (min x0, y] from the first x2 on
+                at[(x2 & -x2).bit_length()] |= ((2 << y) - 1) ^ (((x0 & -x0) << 1) - 1)
+            else:  # (y, x2] from x2 on, for the first y completing each x2
+                fresh, taken = x2 & ~taken, taken | x2
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    at[low.bit_length()] |= ((low << 1) - 1) ^ ((2 << y) - 1)
+        run = 0
         for s0 in range(1, n + 1):
-            run = max(run, best[s0 - 1])
-            if run >= 0 and live >> s0 & 1:
-                new[s0] |= (2 << run) - 1
+            run |= at[s0]
+            if run and live >> s0 & 1:
+                new[s0] |= run
         return
     if not m2:  # D: the least x2 of a y whose last x0 is at or right of s0
         best = [n] * n

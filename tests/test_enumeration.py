@@ -149,8 +149,12 @@ class TestEngineEquivalence:
 class TestBeyondBruteForce:
     """Exact cross-checks at n=10, past the brute-force filter's cap."""
 
-    def test_reverse_complement_counts_agree(self):
-        basis = monotone_basis(4, 2, 1)
+    # each mirror turns the (pos, pos) entry of the basis (15234, 12534)
+    # into a D or an E sweep (23415, 23145), so the two sides share no code
+    # for it
+    @pytest.mark.parametrize("j", [2, 3], ids=["M(4,2,1)", "M(4,3,1)"])
+    def test_reverse_complement_counts_agree(self, j):
+        basis = monotone_basis(4, j, 1)
         mirror = basis_reverse_complement(basis)
         assert set(mirror.patterns) != set(basis.patterns)
         assert count_sequence(10, mirror).values() == count_sequence(10, basis).values()
@@ -452,18 +456,36 @@ class TestKillSweeps:
     def test_every_pattern_of_length_5(self, pattern):
         self.assert_child_masks_match_the_search(basis_of([pattern]), 6)
 
+    # the four patterns whose kill range has both ends at adjacent entries of
+    # q'' (123 or 321) and serves the slots past it, children to length 8,
+    # two lengths past the case above
+    @pytest.mark.parametrize("pattern", ["15234", "12534", "35214", "32514"])
+    def test_both_ends_at_entries_of_q2(self, pattern):
+        table = enumeration._kill_table([parse_perm(pattern)])
+        assert table[0][-1][0] in ("01", "12")
+        self.assert_child_masks_match_the_search(basis_of([pattern]), 8)
+
     def test_wilf_chain_routing(self):
-        # all 20 entries sweep but the two whose kill range has both ends at
-        # entries of q'': 12534 in M(4,3,3) and 15234 in M(4,2,2)
+        # every entry sweeps, those whose kill range has both ends at entries
+        # of q'' (12534 in M(4,3,3) and 15234 in M(4,2,2)) included
         routes = []
         for t in range(1, 6):
             patterns = monotone_basis(4, t, t).patterns
             routes += zip(patterns, enumeration._kill_table(patterns))
         assert len(routes) == 20
-        assert sorted(q for q, entry in routes if entry[-1] is None) == [
-            (1, 2, 5, 3, 4),
-            (1, 5, 2, 3, 4),
+        assert [q for q, entry in routes if entry[-1] is None] == []
+        both_ends = sorted(q for q, entry in routes if entry[-1][0] in ("01", "12"))
+        assert both_ends == [(1, 2, 5, 3, 4), (1, 5, 2, 3, 4)]
+
+    def test_every_monotone_k4_entry_sweeps(self):
+        entries = [
+            entry
+            for j in range(1, 6)
+            for i in range(1, 6)
+            for entry in enumeration._kill_table(monotone_basis(4, j, i).patterns)
         ]
+        assert len(entries) == 100
+        assert [entry for entry in entries if entry[-1] is None] == []
 
     def test_short_and_long_q2_keep_the_search(self):
         table = enumeration._kill_table([(1, 2), (1, 3, 2), (2, 1, 4, 3), (1, 2, 3, 4, 5, 6)])
