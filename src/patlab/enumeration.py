@@ -46,9 +46,8 @@ from __future__ import annotations
 import os
 import signal
 import sys
-from dataclasses import dataclass
 from itertools import permutations
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .errors import BudgetExceededError, InternalCheckError, UsageError
 from .patterns import PatternBasis
@@ -75,8 +74,7 @@ _PARALLEL_MIN_N = 8
 _EXHAUSTED = b"budget\n"  # a child's answer when its copy of the budget ran out
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(NamedTuple):
     """(n, |Av_n(Q)|) pairs with provenance; counts are exact ints."""
 
     basis_label: str

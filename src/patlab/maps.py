@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -90,8 +89,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RoleSets:
+class RoleSets(NamedTuple):
     """The (A, B, C) index triple plus the landing map f for one F step.
 
     ``a_positions`` is None when i = 0 (start anchor) and ``c_positions`` is
@@ -129,8 +127,7 @@ class RoleSets:
         }
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     map_name: str
     k: int
     input: Perm

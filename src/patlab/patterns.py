@@ -24,7 +24,6 @@ whitespace-separated decimal numbers. A repeated gap token, a sized gap
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ClassExpressionError, UsageError
@@ -71,17 +70,30 @@ def _insert_value(q: Perm, pos0: int, v: int) -> Perm:
     return shifted[:pos0] + (v,) + shifted[pos0:]
 
 
-@dataclass(frozen=True, eq=False)
 class PatternBasis:
     """A finite, duplicate-free set of classical patterns defining Av_n(Q).
 
     Equality and hashing look at the pattern set only; the label is free-form
     provenance. Patterns are kept sorted by (length, values) so iteration is
-    deterministic everywhere.
+    deterministic everywhere. Instances are immutable.
     """
 
+    __slots__ = ("patterns", "label")
     patterns: tuple[Perm, ...]
-    label: str = ""
+    label: str
+
+    def __init__(self, patterns: tuple[Perm, ...], label: str = "") -> None:
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PatternBasis is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PatternBasis is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return PatternBasis, (self.patterns, self.label)
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.patterns)

@@ -9,9 +9,7 @@ and no verdict is ever attached to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .enumeration import (
     CountSequence,
@@ -37,6 +35,9 @@ from .patterns import (
 )
 from .perms import Perm, deletions, direct_sum, format_perm, identity
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "WilfReport",
     "CertifyReport",
@@ -58,8 +59,7 @@ __all__ = [
 # -- Wilf equivalence -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WilfReport:
+class WilfReport(NamedTuple):
     left: CountSequence
     right: CountSequence
     max_n: int
@@ -105,8 +105,7 @@ def verify_wilf(
 # -- map certification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertifyReport:
+class CertifyReport(NamedTuple):
     """Per-length evidence that a map is what it claims to be on a class.
 
     F and G are expected to certify as bijections with exact roundtrips; H
@@ -343,8 +342,7 @@ def construct_S_explicit(k: int, j: int) -> PatternBasis:
     )
 
 
-@dataclass(frozen=True)
-class BasisResult:
+class BasisResult(NamedTuple):
     """Empirical forbidden-pattern basis of the image of H up to max_len."""
 
     k: int
@@ -474,8 +472,7 @@ def distant_growth_bounds(k: int) -> tuple[float, float]:
     return (float((k - 1) ** 2), float((k - 1) ** 2 + 1))
 
 
-@dataclass(frozen=True)
-class GrowthDiagnostics:
+class GrowthDiagnostics(NamedTuple):
     """Finite-n growth data: successive ratios and n-th roots of the counts.
 
     Ratios are exact rationals; roots carry 12 significant digits and are
@@ -505,10 +502,10 @@ class GrowthDiagnostics:
 
 def _nth_root_str(count: int, n: int) -> str:
     # Decimal keeps this reproducible across platforms; 12 significant digits.
-    with localcontext() as ctx:
-        ctx.prec = 30
-        root = (Decimal(count).ln() / n).exp()
-    return str(root.normalize(Context(prec=12)))
+    from decimal import Context, Decimal  # only growth loads decimal and fractions
+
+    ctx = Context(prec=30)
+    return str(ctx.exp(ctx.divide(ctx.ln(Decimal(count)), n)).normalize(Context(prec=12)))
 
 
 def growth_diagnostics(
@@ -519,21 +516,15 @@ def growth_diagnostics(
     parallel: bool = False,
     node_budget: int | None = None,
 ) -> GrowthDiagnostics:
+    from fractions import Fraction
+
     seq = count_sequence(max_n, basis, parallel=parallel, node_budget=node_budget)
-    ratios = []
-    roots = []
-    prev = None
-    for n, c in seq.counts:
-        if prev is not None and prev > 0:
-            ratios.append((n, Fraction(c, prev)))
-        if n >= 1 and c > 0:
-            roots.append((n, _nth_root_str(c, n)))
-        prev = c
+    pairs = zip(seq.counts, seq.counts[1:])
     return GrowthDiagnostics(
         basis_label=basis.label,
         counts=seq,
-        ratios=tuple(ratios),
-        roots=tuple(roots),
+        ratios=tuple((n, Fraction(c, prev)) for (_, prev), (n, c) in pairs if prev > 0),
+        roots=tuple((n, _nth_root_str(c, n)) for n, c in seq.counts if n >= 1 and c > 0),
         reference_bounds=bounds,
     )
 
@@ -541,8 +532,7 @@ def growth_diagnostics(
 # -- the count sandwich around monotone distant classes ----------------------
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     k: int
     j: int
     max_n: int
@@ -609,8 +599,7 @@ def sandwich_check(
 # -- almost-distant survey (experiment) --------------------------------------
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     """Empirical Wilf classes of all almost-distant variants of one pattern."""
 
     underlying: Perm

@@ -159,6 +159,40 @@ class TestUnwritableStdout:
         ]
 
 
+# A cold interpreter imports the CLI and parses the five M(4,t,t), then runs
+# one growth command, whose ratios and roots load fractions and decimal.
+# dataclasses would pull in inspect; decimal and fractions serve growth only.
+_COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from patlab import cli
+from patlab.patterns import parse_class_expression
+for t in range(1, 6):
+    parse_class_expression(f"M(4,{t},{t})")
+loaded = [name for name in ("dataclasses", "inspect", "decimal", "fractions")
+          if name in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["growth", "--class", "D(4,2)", "--n", "6", "--format", "json"])
+print(json.dumps({"loaded": loaded, "exit": code, "stdout": out.getvalue()}))
+"""
+
+
+class TestStartUp:
+    def test_cli_imports_neither_dataclasses_nor_decimal_until_growth(self):
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", _COLD_START, str(SRC)],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={name: value for name, value in os.environ.items() if name != "PATLAB_BUDGET"},
+        )
+        result = json.loads(done.stdout)
+        assert result["loaded"] == []
+        golden = next(entry for entry in TRANSCRIPTS
+                      if entry["argv"] == ["growth", "--class", "D(4,2)", "--n", "6",
+                                           "--format", "json"])
+        assert (result["exit"], result["stdout"]) == (golden["exit"], golden["stdout"])
+
+
 class TestDeterminism:
     def test_identical_bytes_across_runs_and_modes(self, capsys):
         results = []

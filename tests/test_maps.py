@@ -38,7 +38,7 @@ from patlab import (
     role_sets,
 )
 from patlab import maps
-from patlab.maps import _MAPS, _f_kernel, _finv_kernel, _window_kernel, map_classes
+from patlab.maps import _MAPS, MapResult, _f_kernel, _finv_kernel, _window_kernel, map_classes
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
@@ -314,6 +314,21 @@ class TestReportShape:
         doc = res.as_json_dict()
         assert doc["windows_or_roles"] == {"windows": [{"start": 1, "end": 1, "values": [1]}]}
 
+    def test_keyword_construction_defaults(self):
+        bare = MapResult(map_name="G", k=3, input=(2, 1, 3), output=(1, 2, 3))
+        assert (bare.params, bare.roles, bare.windows) == ((), None, None)
+        assert bare.as_json_dict() == {
+            "map": "G", "k": 3, "input": "213", "output": "123",
+            "windows_or_roles": None, "class_checks": {"pre": None, "post": None},
+        }
+        windowed = MapResult(map_name="H", k=3, input=(3, 1, 2), output=(1, 3, 2),
+                             params=(("j", 2),), windows=((1, 3),))
+        assert windowed.as_json_dict() == {
+            "map": "H", "k": 3, "j": 2, "input": "312", "output": "132",
+            "windows_or_roles": {"windows": [{"start": 2, "end": 3, "values": [1, 2]}]},
+            "class_checks": {"pre": None, "post": None},
+        }
+
 
 # Each map by its MapResult.map_name, applied with validation, with the
 # values of its i or j (None: the map takes neither) for a given k.
@@ -432,7 +447,7 @@ def _outcome(apply, p, k, x):
         out = apply(p, k, x)
     except PatlabError as exc:
         return type(exc), str(exc)
-    return out if isinstance(out, tuple) else out.output
+    return out.output if isinstance(out, MapResult) else out
 
 
 class TestKernels:

@@ -1,5 +1,7 @@
 """Pattern expansion, the basis algebra, and the class-expression grammar."""
 
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -18,7 +20,7 @@ from patlab import (
     monotone_basis,
     parse_class_expression,
 )
-from patlab.patterns import MAX_UNDERLYING
+from patlab.patterns import MAX_UNDERLYING, PatternBasis
 
 
 def as_strs(basis):
@@ -171,7 +173,28 @@ class TestBasisType:
         assert b.patterns == ((1, 2), (2, 1))
 
     def test_equality_ignores_label(self):
-        assert make_basis([(1, 2)], label="a") == make_basis([(1, 2)], label="b")
+        a, b = make_basis([(1, 2)], label="a"), make_basis([(1, 2)], label="b")
+        assert a == b and hash(a) == hash(b)
+        assert a != make_basis([(2, 1)], label="a")
+        assert not isinstance(a, tuple) and a != ((1, 2),)
+
+    def test_immutable(self):
+        basis = make_basis([(1, 2)], label="a")
+        for name in ("patterns", "label", "other"):
+            with pytest.raises(AttributeError):
+                setattr(basis, name, ())
+            with pytest.raises(AttributeError):
+                delattr(basis, name)
+        assert (basis.patterns, basis.label) == (((1, 2),), "a")
+
+    def test_repr(self):
+        assert repr(monotone_basis(3, 2, 2)) == "PatternBasis({1324,1423,2134}, label='M(3,2,2)')"
+        assert repr(PatternBasis(((1, 2),))) == "PatternBasis({12}, label='')"
+
+    def test_pickle_and_copy_keep_patterns_and_label(self):
+        basis = parse_class_expression("M(4,3,3);312456")
+        for clone in (pickle.loads(pickle.dumps(basis)), copy.copy(basis), copy.deepcopy(basis)):
+            assert (clone.patterns, clone.label) == (basis.patterns, basis.label)
 
     def test_check_minimal(self):
         def minimal(b):

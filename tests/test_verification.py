@@ -591,3 +591,54 @@ class TestSurvey:
         doc = survey_almost_distant((1, 2), 4).as_json_dict()
         assert doc["verdict"] == "experiment"
         assert doc["underlying"] == "12"
+
+
+# Each result record by its fields in order, and one instance built by the
+# public call that returns it.
+RECORDS = {
+    "CountSequence": (("basis_label", "counts", "method"),
+                      lambda: count_sequence(4, make_basis([(1, 2, 3)]))),
+    "RoleSets": (("perm", "k", "i", "b_positions", "a_positions", "c_positions", "f_map"),
+                 lambda: maps.role_sets((3, 2, 1), k=3, i=1)),
+    "MapResult": (("map_name", "k", "input", "output", "params", "roles", "windows",
+                   "pre_checked", "post_checked"),
+                  lambda: map_G(parse_perm("123"), 3, "to_21")),
+    "WilfReport": (("left", "right", "max_n", "equal", "diverges_at"),
+                   lambda: verify_wilf(monotone_basis(2, 1, 1), monotone_basis(2, 2, 2), 4)),
+    "CertifyReport": (("map_name", "k", "params", "max_n", "expectation", "rows", "certified",
+                       "counterexample", "findings"),
+                      lambda: certify_map("F", 2, i=0, max_n=4)),
+    "BasisResult": (("k", "j", "max_len", "discovered", "predicted", "matches_predicted",
+                     "image_sizes"),
+                    lambda: discover_basis(3, 3, 5)),
+    "GrowthDiagnostics": (("basis_label", "counts", "ratios", "roots", "reference_bounds"),
+                          lambda: growth_diagnostics(make_basis([(2, 1)], label="21"), 4)),
+    "SandwichReport": (("k", "j", "max_n", "rows", "inclusions_checked_to"),
+                       lambda: sandwich_check(3, 2, 5)),
+    "SurveyReport": (("underlying", "max_n", "groups"),
+                     lambda: survey_almost_distant((1, 2), 4)),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_immutable_tuple_of_its_fields(self, name):
+        fields, build = RECORDS[name]
+        record = build()
+        assert type(record).__name__ == name and record._fields == fields
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        values = tuple(getattr(record, field) for field in fields)
+        assert record == values and tuple(record) == values
+
+    def test_certify_report_findings_default(self):
+        report = verification.CertifyReport(
+            map_name="F", k=2, params=(("i", 0),), max_n=1, expectation="bijection",
+            rows=({"n": 1},), certified=True, counterexample=None,
+        )
+        assert report.findings == ()
+        assert report.as_json_dict() == {
+            "verdict": "certified", "map": "F", "k": 2, "i": 0, "expectation": "bijection",
+            "max_n": 1, "rows": [{"n": 1}], "witnesses": [], "findings": [],
+        }
