@@ -259,15 +259,16 @@ def cmd_growth(args) -> tuple[int, str]:
         parallel=not args.no_parallel,
         node_budget=_budget(args),
     )
-    roots = dict(diag.roots)
-    ratios = {n: f"{r.numerator}/{r.denominator}" for n, r in diag.ratios}
+    doc = diag.as_json_dict()  # the one serializer of ratios and roots
+    ratios = {r["n"]: r["ratio"] for r in doc["ratios"]}
+    roots = {r["n"]: r["root"] for r in doc["roots"]}
     rows = [(n, c, ratios.get(n, "-"), roots.get(n, "-")) for n, c in diag.counts.counts]
     notes = ["note: finite-n diagnostics"]
     if diag.reference_bounds:
         notes.append("reference bounds: {}, {}".format(*diag.reference_bounds))
     return EXIT_OK, _render(
         args.format,
-        diag.as_json_dict(),
+        doc,
         ["n", "count", "ratio", "root"],
         rows,
         notes,

@@ -18,16 +18,13 @@ new maximum, which must play the maximum of q'. Without it they are the
 occurrences of q'' (q' without its maximum) in the parent, which do not
 depend on the slot. Each parent takes one kill step per basis pattern, and
 the last two levels are counted from masks without building a permutation.
-For a fixed slot, every kill range has the same end at the slot or at the
-border whenever at most one end depends on the occurrence; the union of the
-ranges is then one range, set by the extremum of the other end, and for q''
-of length 3 one sweep over the parent finds it for every slot. The same
-sweep takes ranges with both ends at adjacent entries of a q'' of 123 or 321
-shape whose occurrences serve the slots past it: each range then counts for
-every slot after its last entry, so the ranges are bucketed by that slot and
-OR-ed up. The other entries (both ends at entries of q'' otherwise, or q''
-of another length) search for every occurrence and scatter each one to the
-live slots it serves. The brute-force filter is the oracle this answers to.
+For a fixed slot, the kill ranges with at most one end at an entry of q''
+share the other end, so their union is one range, set by the extremum of the
+free end; for q'' of length 3 one sweep over the parent finds it for every
+slot (``_sweep``), and ORs up the ranges with both ends at adjacent entries
+of a 123 or 321 shape too. Other entries search for every occurrence and
+scatter each to the live slots it serves. The brute-force filter is the
+oracle this answers to.
 
 Counting mode never materializes permutations; ``walk_avoiders`` hands
 every avoider and its mask to a callback, ``levels_avoiders`` returns the
@@ -146,14 +143,17 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
     search (``_search``). For a q'' of length 3 whose kill range has one
     free end (``_kind``), or whose middle entry has the middle value and
     whose kill range is (pos[0], pos[1]] ("01") or (pos[1], pos[2]] ("12")
-    at m2 = 3, it is the arguments of ``_sweep``:
-    ``(kind, scalar, flip0, flip2, joint)``. ``scalar`` marks the kinds
-    where one number per parent settles every slot; ``flip0`` is -1 when
-    q''s first entry lies below its middle one (else 0), ``flip2`` -1 when
-    its last lies below it; ``joint`` is 0 when the middle entry has the
-    middle value, else the sign of last minus first. An entry that reads one
-    outer entry of q'' while the other outer entry bounds the served slots
-    (A at m2 >= 2, D at m2 <= 1) keeps the search when joint != 0."""
+    at m2 = 3, it is the arguments of ``_sweep``: ``(kind, scalar, path,
+    own, far, d, largest, flip0, flip2, joint)``. ``scalar`` marks the kinds
+    one number per parent settles, ``path`` names the reduction of the
+    others, and the kill rule's side(s0) holds low(s0) when ``own``, top
+    when ``far``; d is 1 for C and D, 0 for A and B, None for E; ``largest``
+    marks A and C, whose best end is the largest. ``flip0`` is -1 when q''s
+    first entry lies below its middle one (else 0), ``flip2`` -1 when its
+    last lies below it; ``joint`` is 0 when the middle entry has the middle
+    value, else the sign of last minus first. An entry that reads one outer
+    entry of q'' while the other outer entry bounds the served slots (A at
+    m2 >= 2, D at m2 <= 1) keeps the search when joint != 0."""
     table = []
     for q in patterns:
         k = len(q)
@@ -178,7 +178,11 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
                 not joint or not (kind == "A" and m2 > 1 or kind == "D" and m2 < 2)
             ):
                 scalar = kind == "E" or kind == "B" and m2 == 3 or kind == "C" and not m2
-                sweep = (kind, scalar, -(u0 < u1), -(u2 < u1), joint)
+                inner = "pick" if (kind in "AB") == (m2 == 1) else "per-y"
+                path = None if scalar else "bucket" if m2 in (0, 3) else inner
+                own, far = kind in "BCE", kind == "D" or kind == "E" and m2 > 0
+                d, largest = None if kind == "E" else int(kind in "CD"), kind in "AC"
+                sweep = (kind, scalar, path, own, far, d, largest, -(u0 < u1), -(u2 < u1), joint)
         table.append((k - 2, m, m2, *_bound_refs(q2), gaps, sweep))
     return tuple(table)
 
@@ -239,26 +243,37 @@ def _search(p: Perm, live: int, new: list, kq, m, m2, lo_ref, hi_ref, gaps) -> N
 
 
 def _sweep(
-    p: Perm, live: int, new: list, above: list, m2: int, kind, scalar, flip0, flip2, joint
+    p: Perm, live: int, new: list, above: list, m2: int, kind, scalar, path, own, far, d, largest,
+    flip0, flip2, joint
 ) -> None:
     """Add one kill-table entry's kills to ``new`` by one sweep over p.
 
     For a fixed live slot s0, every occurrence of q'' serving s0 kills a
     range with the same fixed end, so their union is one range, set by the
-    extremum of the other end. Each y is tried as q''s middle entry: bit
+    best other end (``_kind``). Each y is tried as q''s middle entry: bit
     masks x0 and x2 hold the positions that complete an occurrence through y
     as its first and its last entry (``above[v]`` holds the positions of the
-    values above v). Those occurrences serve the slots [0, max x0],
-    (min x0, y], (y, max x2] or (min x2, n] as m2 is 0..3, and per slot the
-    free end is the best over the y serving it of max x0, min x0, y, min x2
-    or max x2. In a scalar kind that is the first end (m2 = 3) or the last
-    start (m2 = 0) of any occurrence. Where the free end is the entry nearest
-    s0 across y (A at m2 = 1, D at m2 = 2), it is read off the union of the
-    masks of every y on the far side of s0. At m2 = 3 every slot past an x2
-    is served, so each y's range counts from the slot after its least x2 on:
-    (-1, max x0] for A and (min x0, y] for "01"; for "12" each x2 kills
-    (y, x2] from the slot after it on, with the least y that completes it.
-    x0 and x2 range independently there, as the middle value lies between."""
+    values above v), which serves the slots [0, x0], (x0, y], (y, x2] or
+    (x2, n] as m2 is 0..3.
+
+    One rule writes a range with one free end: side(s0) ^ low(end + d), with
+    low(x) = (2 << x) - 1 the child slots <= x and side(s0) 0 (A), low(s0)
+    (B, C) or top = low(n + 1) (D); E has no end, and kills low(s0) or
+    top ^ low(s0). Off the last or first bit of a mask x, low(end + d) is
+    (1 << x.bit_length() + d) - 1 or ((x & -x) << d + 1) - 1. Four paths:
+
+    - scalar: the first end (m2 = 3) or the last start (m2 = 0) of any
+      occurrence settles every slot.
+    - bucket: at m2 = 3 a y serves every slot past its least x2, so its
+      range (A, "01"; for "12" each x2's (y, x2], with the least y
+      completing it) is bucketed at the slot it counts from and OR-ed up; so
+      is D's at m2 = 0, from y's last x0 down. x0 and x2 range independently
+      there, as the middle value lies between.
+    - pick (A, B at m2 = 1; C, D at m2 = 2): the end is an x0 of any y at or
+      right of s0, or an x2 of any y left of it: the last or first bit of
+      the union of those masks, cut to s0's side.
+    - per-y (the rest): the end is y or an extreme of y's masks, and each
+      slot keeps the best over the y serving it."""
     n = len(p)
     full, top = (1 << n) - 1, (1 << (n + 2)) - 1
     first = scalar and m2  # the first end: no y at or past it can lower it
@@ -297,78 +312,50 @@ def _sweep(
             e = min(e, (x2 & -x2).bit_length() - 1)
         else:
             e = max(e, x0.bit_length() - 1)
-    if scalar:
+    if scalar:  # one end e for every served slot: B (e, s0], C (s0, e + 1]; E has none
+        fixed = (top if far else 0) if d is None else (2 << e + d) - 1
         slots = live >> (e + 1) << (e + 1) if m2 else live & ((1 << (e + 1)) - 1)
         while slots:
             low = slots & -slots
             slots ^= low
-            if kind == "B":  # (e, s0]
-                kill = ((low << 1) - 1) ^ ((2 << e) - 1)
-            elif kind == "C":  # (s0, e + 1]
-                kill = ((4 << e) - 1) ^ ((low << 1) - 1)
-            else:  # (s0, n + 1] or (-1, s0]
-                kill = top ^ ((low << 1) - 1) if m2 else (low << 1) - 1
-            new[low.bit_length() - 1] |= kill
+            new[low.bit_length() - 1] |= ((low << 1) - 1) ^ fixed
         return
-    if m2 == 3:  # slots past an x2: each range counts from the slot after its x2 on
+    far = top if far else 0
+    if path == "bucket":
         at, taken = [0] * (n + 1), 0
-        for y, (x0, x2) in enumerate(zip(xs0, xs2)):
+        for y in range(1, n - 1):
+            x0, x2 = xs0[y], xs2[y]
             if not x0:
                 continue
-            if kind == "A":  # (-1, max x0] from the first x2 on
-                at[(x2 & -x2).bit_length()] |= (1 << x0.bit_length()) - 1
-            elif kind == "01":  # (min x0, y] from the first x2 on
+            if kind == "01":  # (min x0, y] from the first x2 on
                 at[(x2 & -x2).bit_length()] |= ((2 << y) - 1) ^ (((x0 & -x0) << 1) - 1)
-            else:  # (y, x2] from x2 on, for the first y completing each x2
+            elif kind == "12":  # (y, x2] from x2 on, for the first y completing each x2
                 fresh, taken = x2 & ~taken, taken | x2
                 while fresh:
                     low = fresh & -fresh
                     fresh ^= low
                     at[low.bit_length()] |= ((low << 1) - 1) ^ ((2 << y) - 1)
+            elif m2:  # A: (-1, max x0] from the first x2 on
+                at[(x2 & -x2).bit_length()] |= (1 << x0.bit_length() + d) - 1
+            else:  # D: (min x2 + 1, n + 1] up to the last x0
+                at[x0.bit_length() - 1] |= far ^ (((x2 & -x2) << d + 1) - 1)
         run = 0
-        for s0 in range(1, n + 1):
+        for s0 in range(1, n + 1) if m2 else range(n - 1, -1, -1):
             run |= at[s0]
             if run and live >> s0 & 1:
                 new[s0] |= run
         return
-    if not m2:  # D: the least x2 of a y whose last x0 is at or right of s0
-        best = [n] * n
-        for x0, x2 in zip(xs0, xs2):
-            if x0:
-                at = x0.bit_length() - 1
-                best[at] = min(best[at], (x2 & -x2).bit_length() - 1)
-        run = n
-        for s0 in range(n - 1, -1, -1):
-            run = min(run, best[s0])
-            if run < n and live >> s0 & 1:
-                new[s0] |= top ^ ((4 << run) - 1)
+    if path == "pick":  # the last or first bit of the masks of every y across s0
+        after = m2 - 1  # D, C: the x2 of every y left of s0; A, B: the x0 of y >= s0
+        xs, union = xs2 if after else xs0, 0
+        for s0 in range(2, n) if after else range(n - 2, 0, -1):
+            union |= xs[s0 - after]
+            near = union >> s0 << s0 if after else union & ((1 << s0) - 1)
+            if near and live >> s0 & 1:
+                low = (1 << near.bit_length() + d) - 1 if largest else ((near & -near) << d + 1) - 1
+                new[s0] |= (far ^ (2 << s0) - 1 if own else far) ^ low
         return
-    if kind == "A" and m2 == 1:  # the last x0 left of s0, for y at or right of s0
-        union = 0
-        for s0 in range(n - 2, 0, -1):
-            union |= xs0[s0]
-            left = union & ((1 << s0) - 1)
-            if left and live >> s0 & 1:
-                new[s0] |= (1 << left.bit_length()) - 1
-        return
-    if kind == "D" and m2 == 2:  # the first x2 at or right of s0, for y left of s0
-        union = 0
-        for s0 in range(2, n):
-            union |= xs2[s0 - 1]
-            right = union >> s0 << s0
-            if right and live >> s0 & 1:
-                new[s0] |= top ^ (((right & -right) << 2) - 1)
-        return
-    if kind == "C" and m2 == 2:  # the last x2 of a y left of s0, if at or past s0
-        run = -1
-        for s0 in range(2, n):
-            run = max(run, xs2[s0 - 1].bit_length() - 1)
-            if run >= s0 and live >> s0 & 1:
-                new[s0] |= ((4 << run) - 1) ^ ((2 << s0) - 1)
-        return
-    # A, B at m2 = 2 and B, C, D at m2 = 1: the best free end per slot over
-    # the y serving it, each y serving (y, max x2] or (min x0, y]
-    best = [None] * (n + 1)
+    best = [None] * (n + 1)  # per-y: y serves (y, max x2] or (min x0, y]
     for y in range(1, n - 1):
         x0, x2 = xs0[y], xs2[y]
         if not x0:
@@ -378,22 +365,13 @@ def _sweep(
             end = y if kind == "B" else x0.bit_length() - 1
         else:
             lo, hi = (x0 & -x0).bit_length() - 1, y
-            end = y if kind == "C" else lo if kind == "B" else (x2 & -x2).bit_length() - 1
+            end = y if kind == "C" else (x2 & -x2).bit_length() - 1
         for s0 in range(lo + 1, hi + 1):
-            b = best[s0]
-            if b is None or (end > b if kind in "AC" else end < b):
+            if best[s0] is None or (end > best[s0] if largest else end < best[s0]):
                 best[s0] = end
     for s0, end in enumerate(best):
-        if end is None or not live >> s0 & 1:
-            continue
-        if kind == "A":  # (-1, end]
-            new[s0] |= (2 << end) - 1
-        elif kind == "B":  # (end, s0]
-            new[s0] |= ((2 << s0) - 1) ^ ((2 << end) - 1)
-        elif kind == "C":  # (s0, end + 1]
-            new[s0] |= ((4 << end) - 1) ^ ((2 << s0) - 1)
-        else:  # (end + 1, n + 1]
-            new[s0] |= top ^ ((4 << end) - 1)
+        if end is not None and live >> s0 & 1:
+            new[s0] |= (far ^ (2 << s0) - 1 if own else far) ^ ((2 << end + d) - 1)
 
 
 def _new_kills(p: Perm, live: int, table) -> list[int]:

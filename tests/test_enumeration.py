@@ -465,6 +465,31 @@ class TestKillSweeps:
         assert table[0][-1][0] in ("01", "12")
         self.assert_child_masks_match_the_search(basis_of([pattern]), 8)
 
+    # the first length-5 pattern of every other sweep cell, (kind, m2, joint)
+    # or, for a scalar kind, (kind, m2), children to length 8: the pick's slot
+    # ranges and the per-y intervals run long only on longer parents
+    SWEEP_CELLS = [
+        "12345", "12354", "12435", "12453", "12543", "13425", "13452", "13542", "14235",
+        "14523", "14532", "15423", "15432", "23415", "23451", "23541", "24531", "25431",
+        "41235", "45123", "51234", "51243", "51423", "51432", "52431", "54123",
+    ]
+
+    @pytest.mark.parametrize("pattern", SWEEP_CELLS)
+    def test_every_sweep_cell_on_longer_parents(self, pattern):
+        self.assert_child_masks_match_the_search(basis_of([pattern]), 8)
+
+    def test_sweep_cells_cover_every_cell(self):
+        first = {}
+        for q in permutations(range(1, 6)):
+            entry = enumeration._kill_table([q])[0]
+            sweep = entry[-1]
+            if sweep is not None:
+                kind, scalar, joint = sweep[0], sweep[1], sweep[-1]
+                cell = (kind, entry[2]) if scalar else (kind, entry[2], joint)
+                first.setdefault(cell, "".join(map(str, q)))
+        assert len(first) == 28
+        assert sorted(first.values()) == sorted(self.SWEEP_CELLS + ["12534", "15234"])
+
     def test_wilf_chain_routing(self):
         # every entry sweeps, those whose kill range has both ends at entries
         # of q'' (12534 in M(4,3,3) and 15234 in M(4,2,2)) included
