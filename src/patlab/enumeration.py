@@ -390,11 +390,13 @@ def _new_kills(p: Perm, live: int, table) -> list[int]:
             _search(p, live, new, kq, m, m2, lo_ref, hi_ref, gaps)
             continue
         if above is None:
-            # above[v]: the positions of p holding a value above v
-            above, acc = [0] * (n + 1), 0
-            for x in sorted(range(n), key=p.__getitem__, reverse=True):
-                acc |= 1 << x
-                above[p[x] - 1] = acc
+            # above[v]: the positions of p holding a value above v, a
+            # running OR of each value's position bit from value n down
+            above = [0] * (n + 1)
+            for x, v in enumerate(p):
+                above[v - 1] = 1 << x
+            for v in range(n - 2, -1, -1):
+                above[v] |= above[v + 1]
         _sweep(p, live, new, above, m2, *sweep)
     return new
 

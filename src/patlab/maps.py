@@ -33,15 +33,15 @@ Each construction has one body, an output-only kernel that checks nothing
 and builds no record: ``_f_kernel`` returns F's output and its landing map,
 which carries the A and C positions of the same scan (``_Landing``), so a
 public F step and ``role_sets`` scan once; ``_window_kernel`` returns the
-output and the reversal windows of G (both ways), H, ``naive_reverse_H``
-and, through reverse-complement, ``map_H_conjugate``. Finv
-(``_finv_kernel``) is F of the mirrored step, conjugated by
-reverse-complement the same way. A kernel classifies ranks
-while it scans: one left-to-right patience pass (``perms._up_runs``) gives
-``up``, and one right-to-left pass finds each position's ``down`` and sorts
-the position into its role on the spot (``_scan`` for the A, B and C of an
-F step, which ``role_sets`` reports). A set difference of two ranks has an
-exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
+output and the reversal windows of G (both ways), H and
+``naive_reverse_H``. Finv and ``map_H_conjugate`` (Hrc) have no body of
+their own: each is F or H at the mirrored parameter, conjugated by
+reverse-complement through the one helper ``_conjugate``. A kernel
+classifies ranks while it scans: one left-to-right patience pass
+(``perms._up_runs``) gives ``up``, and one right-to-left pass finds each
+position's ``down`` and sorts the position into its role on the spot
+(``_scan`` for the A, B and C of an F step, which ``role_sets`` reports). A
+set difference of two ranks has an exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
 capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
 stops after its patience pass, input unchanged, exactly when ``up`` finds
 no 12...k, where no entry can play a rank (``_rank_up`` holds the proof).
@@ -175,12 +175,13 @@ class _Map(NamedTuple):
 # Each kernel is named inside a lambda, so it is looked up at call time: a
 # kernel replaced on this module is the one the maps, certification and
 # basis discovery all run. A true ``free`` says p has no 12...k, so the
-# kernel returns p without its patience pass (``_rank_up``).
+# kernel returns p without its patience pass (``_rank_up``). Finv and Hrc
+# are F and H at the mirrored parameter, conjugated (``_conjugate``).
 _MAPS = {
     "F": _Map("i", lambda x: ((x + 1, x + 1), (x + 2, x + 2)),
               lambda p, k, x, free=False: _f_kernel(p, k, x, free), "Finv"),
     "Finv": _Map("i", lambda x: ((x + 2, x + 2), (x + 1, x + 1)),
-                 lambda w, k, x, free=False: (_finv_kernel(w, k, x, free), None), "F"),
+                 lambda w, k, x, free=False: _conjugate(_f_kernel, w, k, k - 1 - x, free), "F"),
     # both directions of G are the same window reversal
     "G": _Map("direction", lambda x: ((2, 2), (2, 1)),
               lambda p, k, x, free=False: _window_kernel(p, k, 2, True, free), "Ginv", "to_21"),
@@ -188,10 +189,8 @@ _MAPS = {
                  lambda p, k, x, free=False: _window_kernel(p, k, 2, True, free), "G", "to_22"),
     "H": _Map("j", lambda x: ((x, x - 1), (x, x)),
               lambda p, k, x, free=False: _window_kernel(p, k, x, False, free), None),
-    # H conjugated by reverse-complement, which turns rank j into rank k+2-j
-    "Hrc": _Map("j", lambda x: ((x, x + 1), (x, x)), lambda p, k, x, free=False: (
-        p if free else reverse_complement(
-            _window_kernel(reverse_complement(p), k, k + 2 - x, False)[0]), None), None),
+    "Hrc": _Map("j", lambda x: ((x, x + 1), (x, x)), lambda p, k, x, free=False:
+                _conjugate(_MAPS["H"].kernel, p, k, k + 2 - x, free), None),
     "HnaiveInv": _Map("j", lambda x: ((x, x), (x, x - 1)),
                       lambda p, k, x, free=False: _window_kernel(p, k, x, True, free), None),
 }
@@ -321,6 +320,22 @@ def _free_below(p: Perm, k: int) -> int:
     return up.index(k - 1) + 1 if k - 1 in up else len(p) + 1
 
 
+def _conjugate(kernel: Callable, p: Perm, k: int, x, free: bool):
+    """(rc(kernel(rc(p), k, x)), None) for the mirrored parameter ``x``, or
+    (p, None) when ``free`` says p has no 12...k, which rc keeps.
+
+    Reverse-complement (rc) sends rank r to rank k+1-r, so it turns step
+    i's A and B into step k-1-i's C and B, a partner (the leftmost earlier,
+    smaller A entry) into a landing (the rightmost later, larger C entry),
+    "right after" into "right before" and the start anchor into the end
+    anchor, and keeps ties increasing: Finv of step i is F of step k-1-i
+    conjugated. It sends M(k,j,i) to M(k,k+2-j,k+2-i): Hrc of rank j, from
+    M(k,j,j+1) into M(k,j,j), is H of rank k+2-j conjugated."""
+    if free:
+        return p, None
+    return reverse_complement(kernel(reverse_complement(p), k, x)[0]), None
+
+
 def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
     """The positions of A, B and C of one F step, each list right to left.
 
@@ -422,21 +437,6 @@ def map_F(p: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     return _apply("F", p, k, i, validate)
 
 
-def _finv_kernel(w: Perm, k: int, i: int, free: bool = False) -> Perm:
-    """Finv with no checks and no record: the reconstructed preimage, ``w``
-    itself when ``free`` says it has no 12...k (no copies are made).
-
-    Reverse-complement sends rank r to rank k+1-r, so it turns step i's A
-    and B into step k-1-i's C and B, a partner (the leftmost earlier,
-    smaller A entry) into a landing (the rightmost later, larger C entry),
-    "right after" into "right before" and the start anchor into the end
-    anchor, and keeps ties increasing: Finv of step i is F of step k-1-i
-    conjugated by reverse-complement."""
-    if free:
-        return w
-    return reverse_complement(_f_kernel(reverse_complement(w), k, k - 1 - i)[0])
-
-
 def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     """Send every rank-(i+1)-capable entry of ``w`` back directly after its
     partner A entry (to the very front for i = 0), ties in increasing order.
@@ -445,8 +445,8 @@ def invert_F(w: Perm, k: int, i: int, validate: bool = True) -> MapResult:
     value; when several qualify, only the leftmost can be the original
     neighbor, since any candidate further left would have qualified in the
     preimage as well and collide with the uniqueness of joint (i, i+1) roles
-    there. ``_finv_kernel`` computes it as F of step k-1-i conjugated by
-    reverse-complement. With ``validate`` the reconstruction is confirmed by
+    there. Its kernel is F of step k-1-i conjugated by reverse-complement
+    (``_conjugate``). With ``validate`` the reconstruction is confirmed by
     re-applying the forward map.
     """
     result = _apply("Finv", w, k, i, validate)

@@ -27,7 +27,6 @@ from .maps import _MAPS, _enter, _free_below, _param, map_classes
 from .maps import invert_F, map_F, map_G, map_H  # noqa: F401
 from .patterns import (
     PatternBasis,
-    basis_union,
     distant_monotone_basis,
     expand_distant,
     make_basis,
@@ -271,13 +270,11 @@ def certify_map(
         image_sizes[n1] += (bits >> n1).bit_count()
     rows: list[dict] = []
     counterexample: dict | None = None
-    certified = True
     for n in range(max_n + 1):
         if counterexample is None and least[n] is not None:
             counterexample = least[n][1]
         elif counterexample is None and collided[n]:
             counterexample = {"n": n, "reason": "two inputs share an output"}
-        surjective = image_sizes[n] == tgt_sizes[n]
         rows.append(
             {
                 "n": n,
@@ -286,14 +283,12 @@ def certify_map(
                 "image_size": image_sizes[n],
                 "image_in_target": not escaped[n],
                 "injective": not collided[n],
-                "surjective": surjective,
+                "surjective": image_sizes[n] == tgt_sizes[n],
                 "roundtrip_ok": None if backward is None else not unrecovered[n],
             }
         )
-        ok = not (escaped[n] or collided[n] or unrecovered[n])
-        if backward is not None:  # a bijection
-            ok = ok and surjective
-        certified = certified and ok
+    # there is a counterexample iff some length has an escape, a failed roundtrip or a collision
+    certified = counterexample is None and (backward is None or image_sizes == tgt_sizes)
     return CertifyReport(
         map_name=map_name,
         k=k,
@@ -309,37 +304,26 @@ def certify_map(
 # -- the finite extra-pattern set S for the image of H ----------------------
 
 
+# T_j, for each j with a closed form of S: its extras are sigma (+) 12...(k-j+2)
+_T = {2: (), 3: ((3, 1, 2),), 4: ((1, 4, 2, 3), (4, 5, 1, 2, 3), (3, 5, 1, 2, 4))}
+
+
 def construct_S_explicit(k: int, j: int) -> PatternBasis:
     """The known closed forms of the forbidden set S with Av(M(k,j,j-1)) =
-    Av(S): plain M(k,2,2) for j = 2, one extra pattern for j = 3, three
-    direct-sum extras for j = 4. Other j have no closed form here; use
-    ``discover_basis``."""
-    if j == 2:
-        if k < 2:
-            raise UsageError("j=2 needs k >= 2")
-        return monotone_basis(k, 2, 2)
-    if j == 3:
-        if k < 2:
-            raise UsageError("j=3 needs k >= 2")
-        extra = (3, 1, 2) + tuple(range(4, k + 3))
-        return basis_union(
-            [monotone_basis(k, 3, 3), make_basis([extra])],
-            label=f"M({k},3,3);{format_perm(extra)}",
+    Av(S): M(k,j,j) plus sigma (+) 12...(k-j+2) for each sigma in T_j, a set
+    that does not depend on k (``_T``): T_2 is empty, T_3 = {312} and T_4 =
+    {1423, 45123, 35124}. The label lists M(k,j,j), then the extras in T_j's
+    order. Other j have no closed form here; use ``discover_basis``."""
+    if j not in _T:
+        raise UsageError(
+            f"no explicit basis is known for j={j}; discover it empirically with discover_basis"
         )
-    if j == 4:
-        if k < 3:
-            raise UsageError("j=4 needs k >= 3")
-        tail = identity(k - 2)
-        extras = [
-            direct_sum((1, 4, 2, 3), tail),
-            direct_sum((4, 5, 1, 2, 3), tail),
-            direct_sum((3, 5, 1, 2, 4), tail),
-        ]
-        label = ";".join([f"M({k},4,4)"] + [format_perm(q) for q in extras])
-        return basis_union([monotone_basis(k, 4, 4), make_basis(extras)], label=label)
-    raise UsageError(
-        f"no explicit basis is known for j={j}; discover it empirically with discover_basis"
-    )
+    if k < max(2, j - 1):
+        raise UsageError(f"j={j} needs k >= {max(2, j - 1)}")
+    diagonal = monotone_basis(k, j, j)  # refuses a huge k before any extra is built
+    extras = [direct_sum(sigma, identity(k - j + 2)) for sigma in _T[j]]
+    label = ";".join([diagonal.label] + [format_perm(q) for q in extras])
+    return make_basis([*diagonal, *extras], label=label)
 
 
 class BasisResult(NamedTuple):
@@ -444,14 +428,9 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
                 witness=w,
             )
     discovered = make_basis(minimal, label=f"discovered(k={k},j={j},len<={max_len})")
-    predicted = None
-    matches = None
-    if j <= 4:
-        predicted = construct_S_explicit(k, j)
-        trimmed = make_basis(
-            [q for q in predicted if len(q) <= max_len], label=predicted.label
-        )
-        matches = trimmed.as_set() == discovered.as_set()
+    predicted = construct_S_explicit(k, j) if j in _T else None
+    matches = None if predicted is None else (
+        {q for q in predicted if len(q) <= max_len} == discovered.as_set())
     return BasisResult(
         k=k,
         j=j,
@@ -468,7 +447,10 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
 
 def distant_growth_bounds(k: int) -> tuple[float, float]:
     """Reference interval for the growth rate of any monotone distant class
-    D(k,j) with an interior gap: [(k-1)^2, (k-1)^2 + 1]."""
+    D(k,j) with an interior gap: [(k-1)^2, (k-1)^2 + 1]. An end gap counts
+    exactly: p avoids D(k,1) iff p after its first entry avoids 12...k, so
+    |Av_n(D(k,1))| = |Av_n(D(k,k+1))| = n |Av_{n-1}(12...k)| for n >= 1,
+    whose growth is (k-1)^2, the interval's lower end."""
     return (float((k - 1) ** 2), float((k - 1) ** 2 + 1))
 
 
@@ -560,39 +542,34 @@ def sandwich_check(
     if not 2 <= j <= k:
         raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
     mid = distant_monotone_basis(k, j)  # refuses a huge k before 12...k is built
-    lower = make_basis([identity(k)], label=format_perm(identity(k)))
-    upper = monotone_basis(k, j, j)
-    lo_seq = count_sequence(max_n, lower, node_budget=node_budget)
-    mid_seq = count_sequence(max_n, mid, node_budget=node_budget)
-    up_seq = count_sequence(max_n, upper, node_budget=node_budget)
+    # the chain of (basis, name) links, each class inside the next
+    chain = [
+        (make_basis([identity(k)], label=format_perm(identity(k))), "12...k"),
+        (mid, f"D({k},{j})"),
+        (monotone_basis(k, j, j), f"M({k},{j},{j})"),
+    ]
+    seqs = [count_sequence(max_n, basis, node_budget=node_budget) for basis, _ in chain]
     rows = []
     for n in range(max_n + 1):
-        a, b, c = lo_seq.count(n), mid_seq.count(n), up_seq.count(n)
-        if not a <= b <= c:
+        counts = [seq.count(n) for seq in seqs]
+        if any(a > b for a, b in zip(counts, counts[1:])):
             raise VerificationFailure(
-                f"count sandwich fails at n={n} for k={k}, j={j}: {a}, {b}, {c}",
+                f"count sandwich fails at n={n} for k={k}, j={j}: "
+                + ", ".join(map(str, counts)),
                 witness=n,
             )
-        rows.append({"n": n, "lower": a, "mid": b, "upper": c})
+        rows.append({"n": n, **dict(zip(("lower", "mid", "upper"), counts))})
     incl_to = min(max_n, 8)
-    lo_levels = levels_avoiders(lower, incl_to, node_budget=node_budget)
-    mid_levels = levels_avoiders(mid, incl_to, node_budget=node_budget)
-    up_levels = levels_avoiders(upper, incl_to, node_budget=node_budget)
+    levels = [(levels_avoiders(b, incl_to, node_budget=node_budget), name) for b, name in chain]
     for n in range(incl_to + 1):
-        bad = lo_levels[n] - mid_levels[n]
-        if bad:
-            raise VerificationFailure(
-                f"set inclusion fails at n={n} for k={k}, j={j}: "
-                f"{format_perm(min(bad))} avoids 12...k but not D({k},{j})",
-                witness=min(bad),
-            )
-        bad = mid_levels[n] - up_levels[n]
-        if bad:
-            raise VerificationFailure(
-                f"set inclusion fails at n={n} for k={k}, j={j}: "
-                f"{format_perm(min(bad))} avoids D({k},{j}) but not M({k},{j},{j})",
-                witness=min(bad),
-            )
+        for (inner, name), (outer, wider) in zip(levels, levels[1:]):
+            bad = inner[n] - outer[n]
+            if bad:
+                raise VerificationFailure(
+                    f"set inclusion fails at n={n} for k={k}, j={j}: "
+                    f"{format_perm(min(bad))} avoids {name} but not {wider}",
+                    witness=min(bad),
+                )
     return SandwichReport(k=k, j=j, max_n=max_n, rows=tuple(rows), inclusions_checked_to=incl_to)
 
 

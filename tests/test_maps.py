@@ -38,7 +38,13 @@ from patlab import (
     role_sets,
 )
 from patlab import maps
-from patlab.maps import _MAPS, MapResult, _f_kernel, _finv_kernel, _window_kernel, map_classes
+from patlab.maps import _MAPS, MapResult, _f_kernel, _window_kernel, map_classes
+
+
+def _finv_kernel(w, k, i):
+    """Finv's output-only kernel, read from the map table at call time."""
+    return _MAPS["Finv"].kernel(w, k, i)[0]
+
 
 P14 = parse_perm("8 3 2 11 12 5 6 9 10 14 4 1 13 7")
 P14_IMAGE = parse_perm("8 3 2 11 5 14 4 1 9 10 12 13 6 7")
@@ -467,12 +473,21 @@ class TestKernels:
                         rank, lower = (2, True) if name[0] == "G" else (x, name != "H")
                         assert tuple(_window_kernel(p, k, rank, lower)[1]) == res.windows
 
-    def test_conjugate_runs_the_window_kernel(self):
-        k, j = 4, 3
-        for members in monotone_members(k, j, j + 1, 6).values():
-            for p in sorted(members):
-                inner = _window_kernel(reverse_complement(p), k, k + 2 - j, False)[0]
-                assert map_H_conjugate(p, k, j).output == reverse_complement(inner)
+    # each conjugated entry: its base kernel's output and mirrored parameter
+    @pytest.mark.parametrize("name, base, mirror", [
+        ("Finv", lambda q, k, x: _f_kernel(q, k, x)[0], lambda k, i: k - 1 - i),
+        ("Hrc", lambda q, k, x: _window_kernel(q, k, x, False)[0], lambda k, j: k + 2 - j),
+    ], ids=["Finv", "Hrc"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_conjugate_runs_the_window_kernel(self, name, base, mirror, k):
+        public, xs = VALIDATED[name]
+        for x in xs(k):
+            source, _ = map_classes(name, k, x)
+            for members in levels_avoiders(source, 6 if k == 5 else 7).values():
+                for p in sorted(members):
+                    expected = reverse_complement(base(reverse_complement(p), k, mirror(k, x)))
+                    assert _MAPS[name].kernel(p, k, x)[0] == expected, (x, p)
+                    assert public(p, k, x).output == expected, (x, p)
 
     @pytest.mark.parametrize("name", list(KERNELS))
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -489,8 +504,8 @@ class TestKernels:
                     assert _outcome(kernel, p, k, x) == expected, (x, p)
                     errors += isinstance(expected[0], type)
         # the window maps refuse some non-members; F's and Finv's error
-        # branches fire on no permutation at all (the arguments are at the
-        # raises in maps._f_kernel and maps._finv_kernel)
+        # branches fire on no permutation at all (the argument is at the
+        # raise in maps._f_kernel, which Finv runs conjugated)
         assert errors or name in ("F", "Finv")
 
 

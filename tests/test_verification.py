@@ -115,6 +115,16 @@ class _G_without_inverse:
         return p, ()
 
 
+def certified_by_rows(report):
+    """The verdict restated row by row: every row in the target, injective and
+    with no failed roundtrip, and for a bijection surjective too."""
+    return all(
+        r["image_in_target"] and r["injective"] and r["roundtrip_ok"] is not False
+        and (report.expectation == "injection" or r["surjective"])
+        for r in report.rows
+    )
+
+
 class TestVerifyWilf:
     def test_reverse_symmetry_catalan(self):
         report = verify_wilf(make_basis([(1, 2, 3)]), make_basis([(3, 2, 1)]), 8)
@@ -212,6 +222,7 @@ class TestCertifyAgainstOracle:
     def test_rows_match_pattern_search(self, map_name, k, params):
         report = certify_map(map_name, k, max_n=6, **params)
         assert list(report.rows) == oracle_certify_rows(map_name, k, 6, **params)
+        assert report.certified == certified_by_rows(report)
 
 
 def map_sources(k):
@@ -279,6 +290,7 @@ class TestCertifyFailures:
         map_name, k, params = args
         report = certify_map(map_name, k, max_n=6, **params)
         assert not report.certified
+        assert report.certified == certified_by_rows(report)
         assert report.counterexample == witness
         doc = report.as_json_dict()
         assert doc["verdict"] == "failed" and doc["witnesses"] == [witness]
@@ -290,10 +302,9 @@ class TestCertifyFailures:
         # with F the identity, 1324 is the least input whose image escapes
         # (see F-identity); its roundtrip fails too, and the image is named
         monkeypatch.setattr(maps, "_f_kernel", _identity_map)
-        monkeypatch.setattr(
-            maps, "_finv_kernel",
-            lambda w, k, i, free=False: (4, 3, 2, 1) if w == (1, 3, 2, 4) else w,
-        )
+        monkeypatch.setitem(maps._MAPS, "Finv", maps._MAPS["Finv"]._replace(
+            kernel=lambda w, k, i, free=False: ((4, 3, 2, 1) if w == (1, 3, 2, 4) else w, None),
+        ))
         report = certify_map("F", 3, i=0, max_n=5)
         assert report.counterexample == {
             "n": 4, "reason": "image leaves the target class", "input": "1324", "output": "1324",
@@ -491,6 +502,17 @@ class TestGrowth:
 
     def test_reference_bounds(self):
         assert distant_growth_bounds(4) == (9.0, 10.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_end_gap_counts_are_n_times_the_monotone_counts(self, k):
+        # the end gaps of distant_growth_bounds' docstring: |Av_n(D(k,1))| =
+        # |Av_n(D(k,k+1))| = n |Av_{n-1}(12...k)|, so growth (k-1)^2
+        monotone = count_sequence(8, make_basis([tuple(range(1, k + 1))]))
+        for j in (1, k + 1):
+            seq = count_sequence(9, parse_class_expression(f"D({k},{j})"))
+            assert [seq.count(n) for n in range(1, 10)] == [
+                n * monotone.count(n - 1) for n in range(1, 10)
+            ], j
 
     def test_json_mentions_finite_n(self):
         doc = growth_diagnostics(make_basis([(2, 1)], label="21"), 4, (0.0, 1.0)).as_json_dict()
