@@ -21,17 +21,16 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from patlab import count_sequence, expand_distant, monotone_basis, survey_almost_distant
+from patlab import expand_distant, monotone_basis, survey_almost_distant, verify_wilf
 
 
 def conjecture_1432(max_n: int) -> None:
     print(f"EXPERIMENT 1: (1432, box=3, removed=4) versus M(4,t,t), n <= {max_n}")
     variant = expand_distant((1, 4, 3, 2), 3, removed=4)
-    left = count_sequence(max_n, variant).values()
-    right = count_sequence(max_n, monotone_basis(4, 1, 1)).values()
-    print(f"  variant : {left}")
-    print(f"  M(4,t,t): {right}")
-    verdict = "match so far" if left == right else f"diverge (first at n={next(n for n in range(max_n + 1) if left[n] != right[n])})"
+    report = verify_wilf(variant, monotone_basis(4, 1, 1), max_n)
+    print(f"  variant : {report.left.values()}")
+    print(f"  M(4,t,t): {report.right.values()}")
+    verdict = "match so far" if report.equal else f"diverge (first at n={report.diverges_at})"
     print(f"  observation: sequences {verdict} at this range\n")
 
 

@@ -1,6 +1,9 @@
-"""Command-line front end: every subcommand is a thin adapter over the
-library, and ``_render`` writes its report in the chosen format, byte for
-byte the same on every run:
+"""Command-line front end. Every subcommand is declared once, in
+``_COMMANDS``: its adapter, help line, flags, --format choices, and whether
+it takes --budget and --no-parallel. ``build_parser`` builds the parser from
+that table and ``main`` dispatches through it. Each adapter is a thin layer
+over the library, and ``_render`` writes its report in the chosen format,
+byte for byte the same on every run:
 
 - json: the report's dict (``as_json_dict()``, but for count), indented by 2;
 - csv: a header line, then one comma-separated line per row;
@@ -21,9 +24,9 @@ import json
 import os
 import sys
 
+from . import maps
 from .enumeration import DEFAULT_NODE_BUDGET, count_sequence
 from .errors import ClassExpressionError, PatlabError, UsageError
-from .maps import apply_named_map
 from .patterns import MACRO_RE, parse_class_expression
 from .perms import format_perm, parse_perm
 from .verification import (
@@ -42,83 +45,6 @@ EXIT_USAGE = 2
 EXIT_EXPERIMENT = 3
 
 HARD_MAX_N = 12
-
-
-# Built once per process: parsing does not change the parser, and a parser
-# is a web of reference cycles that only the cyclic collector frees.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="patlab",
-        description="Exact enumeration, maps, and verification for distant and "
-        "almost-distant permutation classes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # each command takes --budget / --no-parallel only if it reads the value
-    def common(
-        p: argparse.ArgumentParser,
-        formats=("csv", "json", "table"),
-        budget: bool = True,
-        parallel: bool = False,
-    ) -> None:
-        p.add_argument("--format", choices=formats, default="table")
-        p.add_argument("--out", default=None, help="write the report to this file")
-        if budget:
-            p.add_argument("--budget", type=int, default=None, help="node budget override")
-        if parallel:
-            p.add_argument("--no-parallel", action="store_true", help="force sequential traversal")
-
-    p = sub.add_parser("count", help="count Av_n for a class expression")
-    p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, parallel=True)
-
-    p = sub.add_parser("verify-wilf", help="compare two avoidance count sequences exactly")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, parallel=True)
-
-    p = sub.add_parser("map", help="apply F, Finv, G, Ginv, or H to one permutation")
-    p.add_argument("--map", dest="map_name", required=True, choices=["F", "Finv", "G", "Ginv", "H"])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--perm", required=True)
-    common(p, formats=("json", "table"), budget=False)
-
-    p = sub.add_parser("certify", help="certify a map over fully enumerated classes")
-    p.add_argument("--map", dest="map_name", required=True, choices=["F", "G", "H"])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--n", type=int, required=True)
-    common(p, formats=("json", "table"))
-
-    p = sub.add_parser("basis", help="discover the forbidden basis of the image of H")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="maximum pattern length to search")
-    common(p, formats=("json", "table"))
-
-    p = sub.add_parser("sandwich", help="check the count sandwich around D(k,j)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("growth", help="finite-n growth diagnostics for a class")
-    p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p, parallel=True)
-
-    p = sub.add_parser("survey", help="group all almost-distant variants of a pattern (experiment)")
-    p.add_argument("--perm", required=True, help="the underlying classical pattern")
-    p.add_argument("--n", type=int, required=True)
-    common(p, parallel=True)
-
-    return parser
 
 
 def _budget(args) -> int:
@@ -196,8 +122,12 @@ def cmd_verify_wilf(args) -> tuple[int, str]:
 
 
 def cmd_map(args) -> tuple[int, str]:
-    p = parse_perm(args.perm)
-    result = apply_named_map(args.map_name, p, args.k, i=args.i, j=args.j)
+    name, p = args.map_name, parse_perm(args.perm)
+    x = maps._param(name, args.i, args.j)
+    if name == "Finv":  # invert_F also checks that F maps its result back
+        result = maps.invert_F(p, args.k, x)
+    else:
+        result = maps._apply(name, p, args.k, x, True)
     return EXIT_OK, _render(args.format, result.as_json_dict(), notes=[format_perm(result.output)])
 
 
@@ -286,23 +216,72 @@ def cmd_survey(args) -> tuple[int, str]:
     return EXIT_EXPERIMENT, _render(args.format, report.as_json_dict(), notes=notes, csv=csv)
 
 
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_OPTIONAL_INT = {"type": int, "default": None}
+_CLASS = {"dest": "klass", "required": True}
+_MAP = {"dest": "map_name", "required": True}
+_ALL = ("csv", "json", "table")
+_JSON_TABLE = ("json", "table")
+
+# Every command, declared once: name: (adapter, help line, its own flags as
+# add_argument keywords in --help order, --format choices, takes --budget,
+# takes --no-parallel). It takes --budget / --no-parallel only if it reads it.
 _COMMANDS = {
-    "count": cmd_count,
-    "verify-wilf": cmd_verify_wilf,
-    "map": cmd_map,
-    "certify": cmd_certify,
-    "basis": cmd_basis,
-    "sandwich": cmd_sandwich,
-    "growth": cmd_growth,
-    "survey": cmd_survey,
+    "count": (cmd_count, "count Av_n for a class expression",
+              {"--class": _CLASS, "--n": _INT}, _ALL, True, True),
+    "verify-wilf": (cmd_verify_wilf, "compare two avoidance count sequences exactly",
+                    {"--left": _REQUIRED, "--right": _REQUIRED, "--n": _INT}, _ALL, True, True),
+    "map": (cmd_map, "apply F, Finv, G, Ginv, or H to one permutation",
+            {"--map": {**_MAP, "choices": ["F", "Finv", "G", "Ginv", "H"]}, "--k": _INT,
+             "--i": _OPTIONAL_INT, "--j": _OPTIONAL_INT, "--perm": _REQUIRED},
+            _JSON_TABLE, False, False),
+    "certify": (cmd_certify, "certify a map over fully enumerated classes",
+                {"--map": {**_MAP, "choices": ["F", "G", "H"]}, "--k": _INT,
+                 "--i": _OPTIONAL_INT, "--j": _OPTIONAL_INT, "--n": _INT},
+                _JSON_TABLE, True, False),
+    "basis": (cmd_basis, "discover the forbidden basis of the image of H",
+              {"--k": _INT, "--j": _INT,
+               "--n": {**_INT, "help": "maximum pattern length to search"}},
+              _JSON_TABLE, True, False),
+    "sandwich": (cmd_sandwich, "check the count sandwich around D(k,j)",
+                 {"--k": _INT, "--j": _INT, "--n": _INT}, _ALL, True, False),
+    "growth": (cmd_growth, "finite-n growth diagnostics for a class",
+               {"--class": _CLASS, "--n": _INT}, _ALL, True, True),
+    "survey": (cmd_survey, "group all almost-distant variants of a pattern (experiment)",
+               {"--perm": {**_REQUIRED, "help": "the underlying classical pattern"}, "--n": _INT},
+               _ALL, True, True),
 }
+
+
+# Built once per process: parsing does not change the parser, and a parser
+# is a web of reference cycles that only the cyclic collector frees.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="patlab",
+        description="Exact enumeration, maps, and verification for distant and "
+        "almost-distant permutation classes.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags, formats, budget, parallel) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=formats, default="table")
+        p.add_argument("--out", default=None, help="write the report to this file")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="node budget override")
+        if parallel:
+            p.add_argument("--no-parallel", action="store_true", help="force sequential traversal")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, text = _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command][0](args)
     except ClassExpressionError as exc:
         print(exc.caret_diagnostic(), file=sys.stderr)
         return exc.exit_code

@@ -85,7 +85,6 @@ __all__ = [
     "map_H",
     "map_H_conjugate",
     "naive_reverse_H",
-    "apply_named_map",
 ]
 
 
@@ -537,21 +536,3 @@ def naive_reverse_H(p: Perm, k: int, j: int, validate: bool = True) -> MapResult
     Av(M(k,j,j)). It does not always land in Av(M(k,j,j-1)) for j > 2;
     kept as a diagnostic (312456 with k=4, j=3 is the classic escape)."""
     return _apply("HnaiveInv", p, k, j, validate)
-
-
-def apply_named_map(
-    name: str,
-    p: Perm,
-    k: int,
-    *,
-    i: int | None = None,
-    j: int | None = None,
-    validate: bool = True,
-) -> MapResult:
-    """Dispatch for the CLI-facing map names F, Finv, G, Ginv, H."""
-    if name not in ("F", "Finv", "G", "Ginv", "H"):
-        raise UsageError(f"unknown map {name!r} (expected F, Finv, G, Ginv, or H)")
-    x = _param(name, i, j)
-    if name == "Finv":
-        return invert_F(p, k, x, validate)
-    return _apply(name, p, k, x, validate)

@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 
 import patlab
 from patlab import maps
-from patlab.cli import main
+from patlab.cli import build_parser, main
 from patlab.patterns import MAX_UNDERLYING
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
@@ -587,6 +588,36 @@ _FLAGS = {
 }
 # what argparse must refuse: a flag or a value no command takes
 _STRAY = [["--bogus"], ["--format", "xml"], ["--map", "K"], ["--no-parallel"], ["--budget"]]
+
+
+class TestParser:
+    """The parser built from the command table agrees with ``_FLAGS``."""
+
+    @staticmethod
+    def subparsers() -> dict:
+        parser = build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_commands_are_the_fuzzed_ones(self):
+        assert list(self.subparsers()) == list(_FLAGS)
+
+    @pytest.mark.parametrize("command", list(_FLAGS))
+    def test_flags_and_formats_are_the_fuzzed_ones(self, command):
+        required, optional, formats = _FLAGS[command]
+        actions = {a.option_strings[-1]: a for a in self.subparsers()[command]._actions}
+        assert set(actions) == {"--help", *required, *optional, "--format", "--out"}
+        assert {flag for flag, a in actions.items() if a.required} == set(required)
+        assert tuple(actions["--format"].choices) == formats
+        assert actions["--format"].default == "table"
+
+    # argparse formats help only when asked, so a bad help string fails here
+    @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in _FLAGS])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: patlab")
 
 
 @st.composite
