@@ -30,28 +30,29 @@ same table, so they and the CLI refuse the same arguments with the same
 text.
 
 Each construction has one body, an output-only kernel that checks nothing
-and builds no record: ``_f_kernel`` returns F's output and its landing map,
-which carries the A and C positions of the same scan (``_Landing``), so a
-public F step and ``role_sets`` scan once; ``_window_kernel`` returns the
-output and the reversal windows of G (both ways), H and
+and builds no record: ``_f_kernel`` returns F's output and its landing
+map, which carries the A and C positions of the same pass (``_Landing``),
+so a public F step and ``role_sets`` scan once; ``_window_kernel`` returns
+the output and the reversal windows of G (both ways), H and
 ``naive_reverse_H``. Finv and ``map_H_conjugate`` (Hrc) have no body of
 their own: each is F or H at the mirrored parameter, conjugated by
 reverse-complement through the one helper ``_conjugate``. A kernel
 classifies ranks while it scans: one left-to-right patience pass
 (``perms._up_runs``) gives ``up``, and one right-to-left pass finds each
-position's ``down`` and sorts the position into its role on the spot
-(``_scan`` for the A, B and C of an F step, which ``role_sets`` reports). A
-set difference of two ranks has an exact form: capable for r but not for r-1 is up >= r and down == k-r+1,
-capable for r but not for r+1 is up == r and down >= k-r+1. A kernel
-stops after its patience pass, input unchanged, exactly when ``up`` finds
-no 12...k, where no entry can play a rank (``_rank_up`` holds the proof).
-Every kernel also takes ``free``, the caller's word that the input has no
-12...k: it then returns the input before any pass, Finv and Hrc before
-they conjugate. Certification and basis discovery read that bit off each
-member's parent in the generating tree, by the slot rule of
-``_free_below``, and pay a patience pass only on rank-free members with
-children. ``perms.lis_tables`` is only the tests' reference for the rank
-tables.
+position's ``down`` and acts on the spot. F's pass sorts it into A, B or C
+and lands each B entry on the first larger C entry met; the window
+kernel's pass finds each anchor's window and reverses it. A set difference
+of two ranks has an exact form: capable for r but not for r-1 is up >= r
+and down == k-r+1, capable for r but not for r+1 is up == r and
+down >= k-r+1. A kernel stops after its patience pass, input unchanged,
+exactly when ``up`` finds no 12...k, where no entry can play a rank
+(``_rank_up`` holds the proof). Every kernel also takes ``free``, the
+caller's word that the input has no 12...k: it then returns the input
+before any pass, Finv and Hrc before they conjugate. Certification and
+basis discovery read that bit off each member's parent in the generating
+tree, by the slot rule of ``_free_below``, and pay a patience pass only on
+rank-free members with children. ``perms.lis_tables`` is only the tests'
+reference for the rank tables.
 
 Edge steps use virtual anchors: for i = 0 the moving entries return to the
 very front, for i = k-1 they land at the very end. Anchors are never
@@ -215,8 +216,11 @@ def map_classes(name: str, k: int, x: int | None = None) -> tuple[PatternBasis, 
 
 def _param(name: str, i: int | None, j: int | None):
     """The parameter of map ``name`` from a caller's ``i`` and ``j``: the one
-    its entry names, or G's fixed direction."""
+    its entry names, or G's fixed direction; the other must be None."""
     spec = _MAPS[name]
+    for flag, value in (("i", i), ("j", j)):
+        if value is not None and flag != spec.param:
+            raise UsageError(f"map {name} takes no --{flag}")
     x = spec.direction or (i if spec.param == "i" else j)
     if x is None:
         raise UsageError(f"map {name} needs --{spec.param}")
@@ -335,40 +339,10 @@ def _conjugate(kernel: Callable, p: Perm, k: int, x, free: bool):
     return reverse_complement(kernel(reverse_complement(p), k, x)[0]), None
 
 
-def _scan(p: Perm, k: int, i: int) -> tuple[list[int], list[int], list[int]]:
-    """The positions of A, B and C of one F step, each list right to left.
-
-    ``up`` comes first; one right-to-left patience pass then finds each
-    position's ``down`` and sorts it on the spot. B (rank-(i+1)-capable) is
-    up >= i+1 and down >= k-i; A (rank-i-capable, outside B) is exactly
-    up == i and down >= k-i+1; C (rank-(i+2)-capable, outside B) is exactly
-    up >= i+2 and down == k-i-1. A is empty for i = 0 and C for i = k-1."""
-    up = _rank_up(p, k)
-    if up is None:
-        return [], [], []
-    n = len(p)
-    need = k - i
-    tails = [0] + [n + 1] * n  # patience tails on the complemented values
-    a: list[int] = []
-    b: list[int] = []
-    c: list[int] = []
-    for t in range(n - 1, -1, -1):
-        v = n + 1 - p[t]
-        d = bisect_left(tails, v)
-        tails[d] = v
-        if up[t] > i and d >= need:
-            b.append(t)
-        elif up[t] > i + 1 and d == need - 1:
-            c.append(t)
-        elif up[t] == i and d > need:
-            a.append(t)
-    return a, b, c
-
-
 class _Landing(list):
     """F's landing map f: (B position, landing position) pairs, B ascending,
-    and the A and C positions (right to left) of the scan that found them,
-    so a ``RoleSets`` comes from the kernel's one scan."""
+    and the A and C positions (right to left) of the pass that found them,
+    so a ``RoleSets`` comes from the kernel's one pass."""
 
     __slots__ = ("a", "c")
 
@@ -376,36 +350,51 @@ class _Landing(list):
 def _f_kernel(p: Perm, k: int, i: int, free: bool = False):
     """F with no checks and no record: (output, landing map f).
 
-    The landing entry of a B entry t is the rightmost larger C entry, the
-    first larger one in ``_scan``'s order; it always lies right of t (see
-    the raise). f pairs each B position, ascending, with its landing
-    position (None for the end anchor, i = k-1, where C is empty). A true
+    After ``up``, one right-to-left patience pass finds each position's
+    ``down`` and sorts it on the spot: B (rank-(i+1)-capable) is up >= i+1
+    and down >= k-i, A (rank-i-capable, outside B) exactly up == i and
+    down >= k-i+1, C (rank-(i+2)-capable, outside B) exactly up >= i+2 and
+    down == k-i-1; A is empty for i = 0 and C for i = k-1. A B entry lands
+    on the rightmost larger C entry, which lies right of it (see the
+    raise): the first larger one met. f pairs each B position, ascending,
+    with its landing position (None for the end anchor, i = k-1). A true
     ``free`` says p has no 12...k: then f is a plain empty list, at once."""
     if free:
         return p, []
-    a, b, cs = _scan(p, k, i)
     f = _Landing()
-    f.a, f.c = a, cs
-    for t in reversed(b):
-        pt = p[t]
-        for c in cs:
-            if p[c] > pt:
-                break
-        else:
-            if i < k - 1:
-                # unreachable: a longest increasing run from t has down values
-                # down[t], ..., 1, and down[t] >= k-i > k-i-1 >= 1, so some later,
-                # larger u on it has down[u] == k-i-1 and up[u] >= up[t]+1 >= i+2:
-                # in C, so the rightmost larger C entry exists and lies at or
-                # right of u. Kept as a counterexample detector.
-                raise InternalCheckError(
-                    f"no landing entry above value {pt} in {format_perm(p)} "
-                    f"(k={k}, i={i}); input violates the step's guarantees"
-                )
-            c = None  # the end anchor
-        f.append((t, c))
-    if not f:  # no 12...k (``_rank_up``)
+    f.a, f.c = a, cs = [], []
+    up = _rank_up(p, k)
+    if up is None:
         return p, f
+    n = len(p)
+    need = k - i
+    tails = [0] + [n + 1] * n  # patience tails on the complemented values
+    for t in range(n - 1, -1, -1):
+        pt = p[t]
+        v = n + 1 - pt
+        d = bisect_left(tails, v)
+        tails[d] = v
+        if up[t] > i and d >= need:
+            for c in cs:
+                if p[c] > pt:
+                    break
+            else:
+                if i < k - 1:
+                    # unreachable: a longest increasing run from t has down values
+                    # down[t], ..., 1, and down[t] >= k-i > k-i-1 >= 1, so some later,
+                    # larger u on it has down[u] == k-i-1 and up[u] >= up[t]+1 >= i+2:
+                    # a larger C entry right of t. Kept as a counterexample detector.
+                    raise InternalCheckError(
+                        f"no landing entry above value {pt} in {format_perm(p)} "
+                        f"(k={k}, i={i}); input violates the step's guarantees"
+                    )
+                c = None  # the end anchor
+            f.append((t, c))
+        elif up[t] > i + 1 and d == need - 1:
+            cs.append(t)
+        elif up[t] == i and d > need:
+            a.append(t)
+    f.reverse()
     return _move(p, f), f
 
 
@@ -463,20 +452,22 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool, free: bool =
 
     Anchors are the rank-capable entries, minus the (rank-1)-capable ones
     when ``exclude_lower``; one right-to-left patience pass after ``up``
-    finds them: up >= rank and down >= k-rank+1, and with
-    ``exclude_lower`` exactly down == k-rank+1. h(a) is the leftmost
-    earlier, smaller entry with up >= rank-1, one that can act as rank-1
-    toward the anchor. Windows must come out pairwise disjoint on class
-    members; overlap means the input was outside the class. A true ``free``
-    says p has no 12...k: then (p, []) at once.
-    """
+    finds them: up >= rank and down >= k-rank+1, and with ``exclude_lower``
+    exactly down == k-rank+1. h(a) is the leftmost earlier, smaller entry
+    with up >= rank-1, one that can act as rank-1 toward the anchor. Windows
+    must come out pairwise disjoint on class members; overlap means the
+    input was outside the class. The pass meets them right to left, checks
+    each against the start of the one before it and reverses it on the
+    spot. A true ``free`` says p has no 12...k: then (p, []) at once."""
     up = None if free else _rank_up(p, k)
     if up is None:
         return p, []
     n = len(p)
     need = k - rank + 1
     tails = [0] + [n + 1] * n  # patience tails on the complemented values
+    out = list(p)
     windows: list[tuple[int, int]] = []
+    limit = n  # the start of the window found just before, right of this one
     for a in range(n - 1, -1, -1):
         pa = p[a]
         v = n + 1 - pa
@@ -494,17 +485,15 @@ def _window_kernel(p: Perm, k: int, rank: int, exclude_lower: bool, free: bool =
                     f"anchor value {pa} in {format_perm(p)} has no window start "
                     f"(k={k}, rank={rank}); input violates the map's guarantees"
                 )
+            if a > limit:
+                raise InternalCheckError(
+                    f"overlapping reversal windows in {format_perm(p)} "
+                    f"(k={k}, rank={rank}); input violates the map's guarantees"
+                )
+            out[h:a] = reversed(out[h:a])
             windows.append((h, a))
-    windows.sort()
-    for (s1, e1), (s2, _) in zip(windows, windows[1:]):
-        if e1 > s2:
-            raise InternalCheckError(
-                f"overlapping reversal windows in {format_perm(p)} "
-                f"(k={k}, rank={rank}); input violates the map's guarantees"
-            )
-    out = list(p)
-    for s, e in windows:
-        out[s:e] = reversed(out[s:e])
+            limit = h
+    windows.reverse()
     return tuple(out), windows
 
 

@@ -58,19 +58,16 @@ def parse_perm(text: str) -> Perm:
 
     Accepts either a compact digit string ("82456173", only possible for
     n <= 9) or space-separated integers ("8 3 2 11 12 5 6 9 10 14 4 1 13 7").
+    Each digit or word must be ``str.isdecimal``, as in class expressions.
     """
     s = text.strip()
-    if not s:
-        return ()
-    if any(ch.isspace() for ch in s):
-        try:
-            values = [int(tok) for tok in s.split()]
-        except ValueError:
-            raise UsageError(f"bad permutation text: {text!r}") from None
-    elif s.isdecimal():
-        values = [int(ch) for ch in s]
-    else:
+    words = s.split() if any(ch.isspace() for ch in s) else list(s)
+    if not all(word.isdecimal() for word in words):
         raise UsageError(f"bad permutation text: {text!r}")
+    try:
+        values = [int(word) for word in words]
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise UsageError(f"bad permutation text: {text!r}") from None
     return check_perm(values)
 
 

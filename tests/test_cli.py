@@ -276,6 +276,16 @@ class TestMap:
         code, _, err = run(capsys, "map", "--map", "F", "--k", "3", "--perm", "123")
         assert code == 2
 
+    def test_parameter_the_map_does_not_take(self, capsys):
+        code, out, err = run(
+            capsys, "map", "--map", "G", "--k", "3", "--i", "7", "--j", "9", "--perm", "12345"
+        )
+        assert (code, out, err) == (2, "", "error: map G takes no --i\n")
+
+    def test_perm_is_parsed_before_the_parameters(self, capsys):
+        code, _, err = run(capsys, "map", "--map", "G", "--k", "3", "--i", "7", "--perm", "+2 1")
+        assert (code, err) == (2, "error: bad permutation text: '+2 1'\n")
+
 
 class TestCertify:
     def test_F(self, capsys):
@@ -296,6 +306,15 @@ class TestCertify:
         assert code == 0
         doc = json.loads(out)
         assert doc["expectation"] == "injection"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--map", "F", "--k", "4", "--i", "1", "--j", "9"], "map F takes no --j"),
+        (["--map", "H", "--k", "4", "--i", "5", "--j", "3"], "map H takes no --i"),
+        (["--map", "G", "--k", "3", "--i", "5"], "map G takes no --i"),
+    ], ids=["F-j", "H-i", "G-i"])
+    def test_parameter_the_map_does_not_take(self, capsys, argv, message):
+        code, out, err = run(capsys, "certify", *argv, "--n", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _identity_map(p, *args):

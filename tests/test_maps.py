@@ -564,6 +564,16 @@ class TestKernelOracle:
                 for p in permutations(range(1, n + 1)):
                     _check(name, p, k, x)
 
+    # on non-members the kernels' counterexample detectors fire, and the
+    # window kernel's two in the order its one pass meets them
+    @pytest.mark.parametrize("name", ["F", "G", "H", "HnaiveInv"])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_every_permutation_to_length_7(self, name, k):
+        for x in VALIDATED[name][1](k):
+            for n in range(8):
+                for p in permutations(range(1, n + 1)):
+                    _check(name, p, k, x)
+
     def test_finv_on_every_source_member_to_length_7_at_k5(self):
         # Finv of step i runs F of step k-1-i, so k=5 pairs steps 0-4, 1-3
         # and 2 with itself

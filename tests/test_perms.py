@@ -50,7 +50,12 @@ class TestParseFormat:
         for p in [(1,), (2, 1, 3), P14, identity(9), identity(10)]:
             assert parse_perm(format_perm(p)) == p
 
-    @pytest.mark.parametrize("bad", ["1x2", "102", "1 2 2", "3 1", "²", "1 x 3"])
+    # int() would read "+2" and "1_0"; a word must be str.isdecimal, as in
+    # class expressions, and within int()'s digit limit
+    @pytest.mark.parametrize("bad", [
+        "1x2", "102", "1 2 2", "3 1", "²", "1 x 3",
+        "+2 1", "2 1_0 1 3 4 5 6 7 8 9", pytest.param("1 " + "1" * 5000, id="5000-digits"),
+    ])
     def test_rejects(self, bad):
         with pytest.raises(UsageError):
             parse_perm(bad)

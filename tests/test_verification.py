@@ -192,6 +192,17 @@ class TestCertify:
         with pytest.raises(UsageError, match="k must be >= 2 for this map, got 1"):
             certify_map("G", 1, max_n=4)
 
+    # the parameter a map does not take is refused, not ignored
+    @pytest.mark.parametrize("name, params, message", [
+        ("G", {"i": 5}, "map G takes no --i"),
+        ("F", {"i": 1, "j": 9}, "map F takes no --j"),
+        ("H", {"i": 5, "j": 3}, "map H takes no --i"),
+    ], ids=["G-i", "F-j", "H-i"])
+    def test_refuses_the_other_parameter(self, name, params, message):
+        with pytest.raises(UsageError) as exc:
+            certify_map(name, 3, max_n=3, **params)
+        assert str(exc.value) == message
+
     # a bad k (F, G), i (F) or j (H): certify_map refuses it like the map
     @pytest.mark.parametrize("name, k, params, apply, message", [
         ("F", 0, {"i": 0}, lambda: map_F((), 0, 0), "k must be >= 1, got 0"),
