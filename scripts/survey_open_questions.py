@@ -10,18 +10,27 @@ Two questions, neither asserted:
    Wilf classes?
 
 Exits with status 3 (experiment) on success; nothing here is pass/fail.
+A bad argument exits 2 with a usage line; a library error is reported as
+``error: ...`` with its exit code, as the CLI does.
 
 Usage:  python scripts/survey_open_questions.py [max_n]   (default 8)
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from patlab import expand_distant, monotone_basis, survey_almost_distant, verify_wilf
+from patlab import (
+    PatlabError,
+    expand_distant,
+    monotone_basis,
+    survey_almost_distant,
+    verify_wilf,
+)
 
 
 def conjecture_1432(max_n: int) -> None:
@@ -47,11 +56,27 @@ def survey(pattern: tuple[int, ...], max_n: int) -> None:
     print()
 
 
-def main() -> int:
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
-    conjecture_1432(max_n)
-    survey((1, 3, 4, 2), max_n)
-    survey((1, 4, 2, 3), max_n)
+def _length(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Run the open almost-distant questions as neutral surveys (exit 3)."
+    )
+    parser.add_argument(
+        "max_n", nargs="?", type=_length, default=8, help="largest length counted (default 8)"
+    )
+    max_n = parser.parse_args(argv).max_n
+    try:
+        conjecture_1432(max_n)
+        survey((1, 3, 4, 2), max_n)
+        survey((1, 4, 2, 3), max_n)
+    except PatlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     print("status: experiment (neutral)")
     return 3
 

@@ -30,12 +30,16 @@ Counting mode never materializes permutations; ``walk_avoiders`` hands
 every avoider and its mask to a callback, ``levels_avoiders`` returns the
 avoiders of every length as sets, and ``avoider_masks`` the masks of every
 avoider below the last length, which answer membership at the last length
-by one bit each. Parallel counting is a fork-join: the subtrees cut at a
-fixed depth are dealt in strided shares, the parent counts one share (and
-any no child takes), each other share goes to a forked child that sends its
-counts back through its own pipe, and nothing else is shared. Each share
-spends its own copy of the node budget; as every avoider costs one node, the
-join refuses summed counts over the limit, as the sequential walk would.
+by one bit each. A walk may also take a private hook ``leaves(p, live)``,
+which each node one below the last length calls once with its live slots,
+in place of building its children (``_grow``): certification and basis
+discovery reach the last length per parent, as counting does. Parallel
+counting is a fork-join: the subtrees cut at a fixed depth are dealt in
+strided shares, the parent counts one share (and any no child takes), each
+other share goes to a forked child that sends its counts back through its
+own pipe, and nothing else is shared. Each share spends its own copy of the
+node budget; as every avoider costs one node, the join refuses summed
+counts over the limit, as the sequential walk would.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def _kill_table(patterns) -> tuple[tuple, ...]:
     search (``_search``). For a q'' of length 3 whose kill range has one
     free end (``_kind``), or whose middle entry has the middle value and
     whose kill range is (pos[0], pos[1]] ("01") or (pos[1], pos[2]] ("12")
-    at m2 = 3, it is the arguments of ``_sweep``: ``(kind, scalar, path,
+    at m2 = 3, it is ``_sweep``'s last argument: ``(kind, scalar, path,
     own, far, d, largest, flip0, flip2, joint)``. ``scalar`` marks the kinds
     one number per parent settles, ``path`` names the reduction of the
     others, and the kill rule's side(s0) holds low(s0) when ``own``, top
@@ -242,11 +246,9 @@ def _search(p: Perm, live: int, new: list, kq, m, m2, lo_ref, hi_ref, gaps) -> N
         scatter()
 
 
-def _sweep(
-    p: Perm, live: int, new: list, above: list, m2: int, kind, scalar, path, own, far, d, largest,
-    flip0, flip2, joint
-) -> None:
-    """Add one kill-table entry's kills to ``new`` by one sweep over p.
+def _sweep(p: Perm, live: int, new: list, above: list, m2: int, sweep: tuple) -> None:
+    """Add one kill-table entry's kills to ``new`` by one sweep over p;
+    ``sweep`` is the entry's argument tuple (``_kill_table``).
 
     For a fixed live slot s0, every occurrence of q'' serving s0 kills a
     range with the same fixed end, so their union is one range, set by the
@@ -274,6 +276,7 @@ def _sweep(
       the union of those masks, cut to s0's side.
     - per-y (the rest): the end is y or an extreme of y's masks, and each
       slot keeps the best over the y serving it."""
+    kind, scalar, path, own, far, d, largest, flip0, flip2, joint = sweep
     n = len(p)
     full, top = (1 << n) - 1, (1 << (n + 2)) - 1
     first = scalar and m2  # the first end: no y at or past it can lower it
@@ -397,11 +400,11 @@ def _new_kills(p: Perm, live: int, table) -> list[int]:
                 above[v - 1] = 1 << x
             for v in range(n - 2, -1, -1):
                 above[v] |= above[v + 1]
-        _sweep(p, live, new, above, m2, *sweep)
+        _sweep(p, live, new, above, m2, sweep)
     return new
 
 
-def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> None:
+def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit, leaves=None) -> None:
     """Add every strict descendant of ``p`` (dead slots ``dead``) of length
     <= max_n to ``counts`` by length, charging one budget unit per node.
 
@@ -409,12 +412,16 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> 
     ``emit``, when given, is called as ``emit(child, mask)`` on each
     descendant, with its dead-slot mask (None at length max_n, which is never
     expanded); a true return cuts the child's subtree. Without ``emit`` a
-    child one below max_n is never built: its live slots are counted."""
+    child one below max_n is never built: its live slots are counted. With
+    ``leaves``, a node one below max_n calls ``leaves(p, live)`` once, with
+    its live slots, instead of building its children."""
     n1 = len(p) + 1
     live = ~dead & ((1 << n1) - 1)
     found = live.bit_count()
     counts[n1] += found
     budget.spend(found)
+    if n1 == max_n and leaves is not None:
+        return leaves(p, live)
     if emit is None and n1 == max_n:
         return
     new = _new_kills(p, live, table) if n1 < max_n else None
@@ -434,14 +441,15 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit) -> 
         if emit is not None and emit(child, mask):
             continue
         if new:
-            _grow(child, mask, table, max_n, counts, budget, emit)
+            _grow(child, mask, table, max_n, counts, budget, emit, leaves)
     if grand:
         counts[max_n] += grand
         budget.spend(grand)
 
 
-def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:
-    """Run the kernel from the root (); counts of avoiders by length."""
+def _walk(basis: PatternBasis, max_n: int, budget, emit=None, leaves=None) -> list[int]:
+    """Run the kernel from the root (); counts of avoiders by length. With
+    ``leaves`` (see ``_grow``), ``emit`` sees no avoider of length max_n."""
     if max_n < 0:
         raise UsageError(f"max_n must be >= 0, got {max_n}")
     counts = [0] * (max_n + 1)
@@ -454,7 +462,7 @@ def _walk(basis: PatternBasis, max_n: int, budget, emit=None) -> list[int]:
     if emit is not None and emit((), dead if max_n else None):
         return counts
     if max_n:
-        _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, emit)
+        _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, emit, leaves)
     return counts
 
 

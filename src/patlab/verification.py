@@ -13,11 +13,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .enumeration import (
     CountSequence,
+    _NodeBudget,
+    _walk,
     avoider_masks,
     avoids_basis,
     count_sequence,
     levels_avoiders,
-    walk_avoiders,
 )
 from .errors import UsageError, VerificationFailure
 from .maps import _MAPS, _enter, _free_below, _param, map_classes
@@ -143,17 +144,19 @@ def _split(w: Perm) -> tuple[Perm, int]:
     return w[:s] + w[s + 1 :], s
 
 
-def _walk_rank_free(source: PatternBasis, k: int, max_n: int, visit, node_budget) -> list[int]:
-    """``walk_avoiders`` over ``source``, calling ``visit(p, free)`` on
-    every member p, where ``free`` is whether p has no 12...k (k >= 1);
-    returns the walk's sizes.
+def _walk_rank_free(source, k: int, max_n: int, visit, leaves, node_budget) -> list[int]:
+    """Walk ``source`` to length max_n, returning its sizes: one call
+    ``leaves(p, live, bound)`` per member p of length max_n - 1, whose child
+    with a new maximum at a slot s set in ``live`` has no 12...k iff s <
+    bound, and ``visit(p, free)`` on every other member but those children,
+    where ``free`` is whether p has none (k >= 1).
 
     The walk visits in depth-first preorder: the parent of a member p of
     length n (p without its maximum) is the last member of length n-1
     visited before it. So p is free iff its parent is and the slot of its
     maximum lies below the parent's ``maps._free_below``, kept per length
-    for the last member visited (0 when it is not free). Only free members
-    with children make the patience pass of that bound."""
+    for the last member visited (0 when it is not free), and handed to
+    ``leaves``. Only free members with children make that patience pass."""
     below = [0] * (max_n + 1)
 
     def emit(p: Perm, dead) -> None:
@@ -165,7 +168,8 @@ def _walk_rank_free(source: PatternBasis, k: int, max_n: int, visit, node_budget
             below[n] = _free_below(p, k)
         visit(p, free)
 
-    return walk_avoiders(source, max_n, emit, node_budget=node_budget)
+    budget = _NodeBudget(node_budget)
+    return _walk(source, max_n, budget, emit, lambda p, live: leaves(p, live, below[len(p)]))
 
 
 def _unpack(bits: dict[Perm, int], n: int):
@@ -199,24 +203,26 @@ def certify_map(
     ``avoids_basis`` before it is reported, as is the empty image, which
     has no parent mask.
 
-    The source is then streamed through ``walk_avoiders``, and the map's
-    output-only kernel, read from the map table in ``maps``, runs at each
-    member; no level of either class is kept as a set. The walk tells the
-    kernel which members have no 12...k (``_walk_rank_free``), and the
-    roundtrip kernel when the image is the member itself, so neither makes
-    the patience pass that would find none. Each image sets one
-    hit bit keyed the same way, above the dead slots of its key in the
-    target masks. A key the target lacks enters with all its slots dead, so
-    its images go to the pattern search and it adds no target member. A hit
-    bit found set is a collision, and the image sizes are popcounts.
-    The counterexample is the one a sorted sweep meets first: at the least
-    length with a violation, the least input whose image leaves the target
-    or fails the roundtrip (the image check first), else the collision."""
+    The source is then streamed through ``_walk_rank_free``, members of
+    length max_n per parent; the map's output-only kernel (from the map
+    table in ``maps``) runs once at each member, the inverse right after
+    it, and neither makes the patience pass when the walk says the member
+    has no 12...k. No level of either class is kept as a set. Each image
+    sets one hit bit keyed the same way, above the dead slots of its key in
+    the target masks. At length max_n an image equal to its member is keyed
+    by the tree (key the parent, slot the child's), and the parent's hit
+    bits are OR-ed in once, after one collision test. A key the target
+    lacks enters with all its slots dead, so its images go to the pattern
+    search and it adds no target member. A hit bit found set is a
+    collision, and the image sizes are popcounts. The counterexample is the
+    one a sorted sweep meets first: at the least length with a violation,
+    the least input whose image leaves the target or fails the roundtrip
+    (the image check first), else the collision."""
     if map_name not in ("F", "G", "H"):
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
     x = _param(map_name, i, j)
     spec = _enter(map_name, k, x)
-    backward = spec.inverse and _MAPS[spec.inverse].kernel
+    kernel, backward = spec.kernel, spec.inverse and _MAPS[spec.inverse].kernel
     source, target = map_classes(map_name, k, x)
     masks = avoider_masks(target, max_n, node_budget=node_budget)
     escaped = [False] * (max_n + 1)
@@ -224,44 +230,63 @@ def certify_map(
     collided = [False] * (max_n + 1)
     least: list = [None] * (max_n + 1)  # per length: (input, counterexample)
 
-    def visit(p: Perm, free: bool) -> None:
+    def place(w: Perm) -> tuple[int, int]:
+        # set w's hit bit, above the n slots of its key's mask (all dead off the target)
+        n = len(w)
+        if not n:
+            return 1, 0  # () has no key: its slot reads dead
+        key, s = _split(w)
+        dead = masks.setdefault(key, (1 << n) - 1)
+        if dead >> (s + n) & 1:
+            collided[n] = True
+        masks[key] = dead | 1 << (s + n)
+        return dead, s
+
+    def check(p: Perm, w: Perm, back: Perm, dead: int, s: int) -> None:
+        # the membership bit, slot s of the image's key mask, then the
+        # roundtrip: ``back`` is the inverse's output (p without an inverse)
         n = len(p)
-        w, _ = spec.kernel(p, k, x, free)
-        bad = None
-        # one key and slot per image: the membership bit, then the hit bit
-        # above the key's n dead-slot bits; a key outside the target gets
-        # all n slots dead. The empty image has no key: its slot reads dead.
-        dead, s = 1, 0
-        if n:
-            key, s = _split(w)
-            dead = masks.setdefault(key, (1 << n) - 1)
+        reason = None
         if dead >> s & 1 and not avoids_basis(w, target):
             escaped[n] = True
-            bad = {
-                "n": n,
-                "reason": "image leaves the target class",
-                "input": format_perm(p),
-                "output": format_perm(w),
-            }
-        if backward is not None:
-            back = backward(w, k, x, free and w == p)[0]
-            if back != p:
-                unrecovered[n] = True
-                bad = bad or {
-                    "n": n,
-                    "reason": "roundtrip failed",
-                    "input": format_perm(p),
-                    "output": format_perm(w),
-                    "recovered": format_perm(back),
-                }
-        if bad is not None and (least[n] is None or p < least[n][0]):
+            reason = "image leaves the target class"
+        if back != p:
+            unrecovered[n] = True
+            reason = reason or "roundtrip failed"
+        if reason is not None and (least[n] is None or p < least[n][0]):
+            bad = {"n": n, "reason": reason, "input": format_perm(p), "output": format_perm(w)}
+            if reason == "roundtrip failed":
+                bad["recovered"] = format_perm(back)
             least[n] = (p, bad)
-        if n:
-            if dead >> (s + n) & 1:
-                collided[n] = True
-            masks[key] = dead | 1 << (s + n)
 
-    src_sizes = _walk_rank_free(source, k, max_n, visit, node_budget)
+    def visit(p: Perm, free: bool) -> None:
+        w = kernel(p, k, x, free)[0]
+        back = p if backward is None else backward(w, k, x, free and w == p)[0]
+        check(p, w, back, *place(w))
+
+    def leaves(p: Perm, live: int, bound: int) -> None:
+        n = len(p) + 1
+        dead, hits = masks.get(p, (1 << n) - 1), 0
+        for s in range(n):
+            if not live >> s & 1:
+                continue
+            child = p[:s] + (n,) + p[s:]
+            free = s < bound
+            w = kernel(child, k, x, free)[0]
+            back = child if backward is None else backward(w, k, x, free and w == child)[0]
+            if w != child:
+                check(child, w, back, *place(w))
+                continue
+            hits |= 1 << s  # keyed by the tree: key p, slot s
+            if dead >> s & 1 or back != child:
+                check(child, w, back, dead, s)
+        if hits:
+            dead = masks.setdefault(p, dead)
+            if dead >> n & hits:
+                collided[n] = True
+            masks[p] = dead | hits << n
+
+    src_sizes = _walk_rank_free(source, k, max_n, visit, leaves, node_budget)
     tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
     for key, bits in masks.items():
@@ -365,6 +390,9 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     The source is streamed through ``_walk_rank_free`` and H's output-only
     kernel; image[n] is kept as live masks, {w without its maximum: the
     slots of that maximum}, like ``avoider_masks`` with the bits inverted.
+    At length max_len, where members arrive per parent, an image equal to
+    its member takes its key and slot from the tree, the parent and the
+    slot of the child, and the parent's bits are OR-ed in once.
     No sweep over all n! permutations: a minimal non-member q of length n
     has q without its maximum in image[n-1], so the candidates are the n
     insertions of a new maximum into each parent in image[n-1]. Deleting
@@ -384,14 +412,28 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
         raise UsageError(f"max_len is capped at 9, got {max_len}")
     image: list[dict[Perm, int]] = [{} for _ in range(max_len + 1)]
 
-    def visit(p: Perm, free: bool) -> None:
-        w = kernel(p, k, j, free)[0]
+    def record(w: Perm) -> None:
         if w:  # H maps () to itself
             key, s = _split(w)
-            level = image[len(w)]
-            level[key] = level.get(key, 0) | 1 << s
+            image[len(w)][key] = image[len(w)].get(key, 0) | 1 << s
 
-    sizes = _walk_rank_free(map_classes("H", k, j)[0], k, max_len, visit, node_budget)
+    def visit(p: Perm, free: bool) -> None:
+        record(kernel(p, k, j, free)[0])
+
+    def leaves(p: Perm, live: int, bound: int) -> None:
+        n, hits = len(p) + 1, 0
+        for s in range(n):
+            if live >> s & 1:
+                child = p[:s] + (n,) + p[s:]
+                w = kernel(child, k, j, s < bound)[0]
+                if w != child:
+                    record(w)
+                else:  # keyed by the tree: key p, slot s
+                    hits |= 1 << s
+        if hits:
+            image[n][p] = image[n].get(p, 0) | hits
+
+    sizes = _walk_rank_free(map_classes("H", k, j)[0], k, max_len, visit, leaves, node_budget)
     for n in range(1, max_len + 1):
         sizes[n] = sum(live.bit_count() for live in image[n].values())
     def members(n: int):

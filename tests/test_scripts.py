@@ -99,6 +99,42 @@ def test_survey_script_runs():
     assert "EXPERIMENT 2:" in done.stdout
 
 
+@pytest.mark.parametrize("args, unwanted", [
+    (["-1"], "-1"), (["x"], "x"), (["1.5"], "1.5"), (["5", "6"], "6"),
+], ids=["negative", "not-a-number", "fraction", "extra"])
+def test_survey_script_refuses_bad_arguments(args, unwanted):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "survey_open_questions.py"), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: survey_open_questions.py")
+    assert unwanted in done.stderr and "Traceback" not in done.stderr
+
+
+def test_survey_script_help():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "survey_open_questions.py"), "--help"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: survey_open_questions.py")
+
+
+@pytest.mark.parametrize("error, code", [(patlab.VerificationFailure, 1), (patlab.UsageError, 2)])
+def test_survey_script_reports_library_errors(monkeypatch, capsys, error, code):
+    # a PatlabError is one "error:" line with its own exit code, as in cli.main
+    script = _load(ROOT / "scripts" / "survey_open_questions.py")
+
+    def failing(*args, **kwargs):
+        raise error("beyond this survey")
+
+    monkeypatch.setattr(script, "verify_wilf", failing)
+    assert script.main(["3"]) == code
+    assert capsys.readouterr().err == "error: beyond this survey\n"
+
+
 @pytest.mark.parametrize("argv", SMOKE_JOBS, ids=[WORKLOADS.key(a) for a in SMOKE_JOBS])
 def test_benchmark_smoke_jobs_match_reference(argv):
     want = json.loads((PERFBENCH / "reference.json").read_text())["smoke"][WORKLOADS.key(argv)]

@@ -219,6 +219,34 @@ class TestCertify:
             certify_map(name, k, max_n=3, **params)
         assert str(by_map.value) == str(by_certify.value) == message
 
+    @pytest.mark.parametrize("name, params, inverse", [
+        ("F", {"i": 1}, "Finv"), ("G", {}, "Ginv"), ("H", {"j": 3}, None),
+    ], ids=["F", "G", "H"])
+    def test_kernel_then_inverse_once_per_member(self, monkeypatch, name, params, inverse):
+        # inner members one by one and the last length per parent: each
+        # member meets the kernel once, and the inverse once, right after it
+        log = []
+        for entry, tag in ((name, "forward"), (inverse, "backward")):
+            if entry is None:
+                continue
+            kernel = _MAPS[entry].kernel
+
+            def logged(p, k, x, free=False, kernel=kernel, tag=tag):
+                out = kernel(p, k, x, free)
+                log.append((tag, p, out[0]))
+                return out
+
+            monkeypatch.setitem(_MAPS, entry, _MAPS[entry]._replace(kernel=logged))
+        assert certify_map(name, 4, max_n=6, **params).certified
+        step = 2 if inverse else 1
+        forward, backward = log[::step], log[1::step]
+        assert {tag for tag, _, _ in forward} == {"forward"}
+        levels = levels_avoiders(source_and_target(name, 4, **params)[0], 6)
+        members = sorted(p for level in levels.values() for p in level)
+        assert sorted(p for _, p, _ in forward) == members
+        if inverse:
+            assert [(tag, p) for tag, p, _ in backward] == [("backward", w) for _, _, w in forward]
+
     def test_json_shape(self):
         doc = certify_map("F", 2, i=0, max_n=4).as_json_dict()
         assert doc["verdict"] == "certified"
@@ -257,7 +285,8 @@ class TestRankFreeWalk:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_bit_on_every_source_member_to_length_8(self, k):
-        # every source class of the maps at k, and Av(321), rich in 12...k
+        # every source class of the maps at k, and Av(321), rich in 12...k;
+        # the members of length 8 arrive per parent, with their slots' bound
         bases = [monotone_basis(k, j, i) for j, i in map_sources(k)]
         for basis in bases + [make_basis([(3, 2, 1)])]:
             seen, wrong = {True: 0, False: 0}, []
@@ -267,15 +296,36 @@ class TestRankFreeWalk:
                 if free != (k not in _up_runs(p)):
                     wrong.append(p)
 
-            verification._walk_rank_free(basis, k, 8, visit, None)
+            def leaves(p, live, bound):
+                for s in range(len(p) + 1):
+                    if live >> s & 1:
+                        visit(p[:s] + (len(p) + 1,) + p[s:], s < bound)
+
+            sizes = verification._walk_rank_free(basis, k, 8, visit, leaves, None)
             assert wrong == [], (basis.label, wrong[:3])
             assert seen[False], basis.label  # every class here has a 12...k by n=8
+            assert seen[True] + seen[False] == sum(sizes), basis.label
+
+    def test_each_last_length_child_once_with_its_parent(self):
+        # visit sees the members shorter than max_n, leaves their parents
+        # one below it: together every member once, in tree order
+        basis = monotone_basis(3, 2, 2)
+        visited, parents = [], []
+        verification._walk_rank_free(
+            basis, 3, 6, lambda p, free: visited.append(p),
+            lambda p, live, bound: parents.append((p, live)), None,
+        )
+        levels = levels_avoiders(basis, 6)
+        assert sorted(visited) == sorted(p for n in range(6) for p in levels[n])
+        assert [p for p, _ in parents] == [p for p in visited if len(p) == 5]
+        children = {p[:s] + (6,) + p[s:] for p, live in parents for s in range(6) if live >> s & 1}
+        assert children == levels[6]
 
 
 class TestCertifyFailures:
     """Broken maps patched into the module must fail with an exact witness."""
 
-    @pytest.mark.parametrize("attr, broken, args, witness", [
+    COUNTEREXAMPLES = pytest.mark.parametrize("attr, broken, args, witness", [
         ("_f_kernel", _identity_map, ("F", 3, {"i": 0}), {
             "n": 4, "reason": "image leaves the target class",
             "input": "1324", "output": "1324",
@@ -296,10 +346,24 @@ class TestCertifyFailures:
             "input": "1234", "output": "2134", "recovered": "2134",
         }),
     ], ids=["F-identity", "H-identity", "H-constant", "G-constant", "G-no-inverse"])
+
+    @COUNTEREXAMPLES
     def test_counterexample(self, monkeypatch, attr, broken, args, witness):
+        self.check_counterexample(monkeypatch, attr, broken, args, witness, 6)
+
+    @COUNTEREXAMPLES
+    def test_counterexample_at_the_witness_length(self, monkeypatch, attr, broken, args, witness):
+        # at max_n = the witness's n, the witness arrives with its siblings,
+        # per parent; the same witness is named
+        self.check_counterexample(monkeypatch, attr, broken, args, witness, witness["n"])
+
+    @staticmethod
+    def check_counterexample(monkeypatch, attr, broken, args, witness, max_n):
+        if isinstance(broken, _G_without_inverse):
+            broken = _G_without_inverse()  # a fresh call count per run
         monkeypatch.setattr(maps, attr, broken)
         map_name, k, params = args
-        report = certify_map(map_name, k, max_n=6, **params)
+        report = certify_map(map_name, k, max_n=max_n, **params)
         assert not report.certified
         assert report.certified == certified_by_rows(report)
         assert report.counterexample == witness
@@ -335,6 +399,28 @@ class TestCertifyFailures:
         assert not rows[3]["injective"]
         assert rows[3]["image_size"] == rows[3]["source_size"] - 1
         assert all(rows[n]["injective"] for n in (0, 1, 2, 4, 5))
+
+    @pytest.mark.parametrize("sibling, moved", [
+        ((1, 4, 2, 3), (1, 2, 4, 3)),  # the sibling's 4 at slot 1, the moved child's at 2
+        ((1, 2, 4, 3), (1, 4, 2, 3)),  # the sibling's 4 at slot 2, the moved child's at 1
+    ], ids=["sibling-lower", "sibling-higher"])
+    def test_collision_inside_one_parent(self, monkeypatch, sibling, moved):
+        # at max_n = 4 the children of 123 arrive together: one is sent onto
+        # a sibling whose image is itself, keyed by the tree, not by a split
+        source, _ = source_and_target("H", 4, j=3)
+        assert {sibling, moved} <= levels_avoiders(source, 4)[4]
+
+        def broken_H(p, k, rank, exclude_lower, free=False):
+            if p in (sibling, moved):
+                return sibling, ()
+            return _window_kernel(p, k, rank, exclude_lower, free)
+
+        monkeypatch.setattr(maps, "_window_kernel", broken_H)
+        report = certify_map("H", 4, j=3, max_n=4)
+        assert report.counterexample == {"n": 4, "reason": "two inputs share an output"}
+        rows = report.rows
+        assert not rows[4]["injective"] and rows[4]["image_size"] == rows[4]["source_size"] - 1
+        assert all(r["injective"] for r in rows[:4])
 
     def test_images_with_keys_outside_the_target_are_counted(self, monkeypatch):
         # with H the identity, members of Av(M(4,3,2)) whose parent leaves
@@ -390,12 +476,12 @@ class TestCertifyFailures:
 
         monkeypatch.setattr(maps, "_window_kernel", broken_H)
         visited = []
-        walk = verification.walk_avoiders
+        walk = verification._walk
 
-        def logged_walk(basis, max_n, emit, **kwargs):
-            return walk(basis, max_n, lambda p, m: visited.append(p) or emit(p, m), **kwargs)
+        def logged_walk(basis, max_n, budget, emit, leaves):
+            return walk(basis, max_n, budget, lambda p, m: visited.append(p) or emit(p, m), leaves)
 
-        monkeypatch.setattr(verification, "walk_avoiders", logged_walk)
+        monkeypatch.setattr(verification, "_walk", logged_walk)
         report = certify_map("H", 2, j=2, max_n=4)
         assert [p for p in visited if len(p) == 3] == [(3, 2, 1), (2, 3, 1), (2, 1, 3), (3, 1, 2)]
         assert report.counterexample == {
