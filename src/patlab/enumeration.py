@@ -26,20 +26,19 @@ of a 123 or 321 shape too. Other entries search for every occurrence and
 scatter each to the live slots it serves. The brute-force filter is the
 oracle this answers to.
 
-Counting mode never materializes permutations; ``walk_avoiders`` hands
-every avoider and its mask to a callback, ``levels_avoiders`` returns the
-avoiders of every length as sets, and ``avoider_masks`` the masks of every
-avoider below the last length, which answer membership at the last length
-by one bit each. A walk may also take a private hook ``leaves(p, live)``,
-which each node one below the last length calls once with its live slots,
-in place of building its children (``_grow``): certification and basis
-discovery reach the last length per parent, as counting does. Parallel
-counting is a fork-join: the subtrees cut at a fixed depth are dealt in
-strided shares, the parent counts one share (and any no child takes), each
-other share goes to a forked child that sends its counts back through its
-own pipe, and nothing else is shared. Each share spends its own copy of the
-node budget; as every avoider costs one node, the join refuses summed
-counts over the limit, as the sequential walk would.
+Counting mode never materializes permutations. A walk may take a private
+hook ``family(p, live)``, called once on every avoider p shorter than the
+last length, in depth-first preorder, with the live slots of p's children
+(``_grow``). ``levels_avoiders`` builds the avoiders of every length from
+it; ``avoider_masks`` keeps the masks of every avoider below the last
+length, which answer membership at the last length by one bit each; and
+certification and basis discovery take each parent's children at once.
+Parallel counting is a fork-join: the subtrees cut at a fixed depth are
+dealt in strided shares, the parent counts one share (and any no child
+takes), each other share goes to a forked child that sends its counts back
+through its own pipe, and nothing else is shared. Each share spends its own
+copy of the node budget; as every avoider costs one node, the join refuses
+summed counts over the limit, as the sequential walk would.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "CountSequence",
     "avoids_basis",
-    "walk_avoiders",
     "levels_avoiders",
     "avoider_masks",
     "count_sequence",
@@ -404,52 +402,44 @@ def _new_kills(p: Perm, live: int, table) -> list[int]:
     return new
 
 
-def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, emit, leaves=None) -> None:
+def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, family=None) -> None:
     """Add every strict descendant of ``p`` (dead slots ``dead``) of length
     <= max_n to ``counts`` by length, charging one budget unit per node.
 
     One ``_new_kills`` call gives the new dead slots of all of p's children.
-    ``emit``, when given, is called as ``emit(child, mask)`` on each
-    descendant, with its dead-slot mask (None at length max_n, which is never
-    expanded); a true return cuts the child's subtree. Without ``emit`` a
-    child one below max_n is never built: its live slots are counted. With
-    ``leaves``, a node one below max_n calls ``leaves(p, live)`` once, with
-    its live slots, instead of building its children."""
+    ``family``, when given, is called as ``family(p, live)`` with the live
+    slots of p's children before they are counted; a true return cuts them.
+    Without it a child one below max_n is never built: its live slots are
+    counted."""
     n1 = len(p) + 1
     live = ~dead & ((1 << n1) - 1)
+    if family is not None and family(p, live):
+        return
     found = live.bit_count()
     counts[n1] += found
     budget.spend(found)
-    if n1 == max_n and leaves is not None:
-        return leaves(p, live)
-    if emit is None and n1 == max_n:
+    if n1 == max_n:
         return
-    new = _new_kills(p, live, table) if n1 < max_n else None
-    last = emit is None and n1 + 1 == max_n
+    new = _new_kills(p, live, table)
+    last = family is None and n1 + 1 == max_n
     grand = 0
     for s0 in range(n1):
         if dead >> s0 & 1:
             continue
-        mask = None
-        if new:
-            # parent slot t <= s0 is child slot t, and t >= s0 is child slot t + 1
-            mask = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1)) | new[s0]
-            if last:
-                grand += n1 + 1 - mask.bit_count()
-                continue
-        child = p[:s0] + (n1,) + p[s0:]
-        if emit is not None and emit(child, mask):
-            continue
-        if new:
-            _grow(child, mask, table, max_n, counts, budget, emit, leaves)
+        # parent slot t <= s0 is child slot t, and t >= s0 is child slot t + 1
+        mask = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1)) | new[s0]
+        if last:
+            grand += n1 + 1 - mask.bit_count()
+        else:
+            _grow(p[:s0] + (n1,) + p[s0:], mask, table, max_n, counts, budget, family)
     if grand:
         counts[max_n] += grand
         budget.spend(grand)
 
 
-def _walk(basis: PatternBasis, max_n: int, budget, emit=None, leaves=None) -> list[int]:
-    """Run the kernel from the root (); counts of avoiders by length. With
-    ``leaves`` (see ``_grow``), ``emit`` sees no avoider of length max_n."""
+def _walk(basis: PatternBasis, max_n: int, budget, family=None) -> list[int]:
+    """Run the kernel from the root (); counts of avoiders by length. The
+    hook ``family`` (see ``_grow``) sees every avoider shorter than max_n."""
     if max_n < 0:
         raise UsageError(f"max_n must be >= 0, got {max_n}")
     counts = [0] * (max_n + 1)
@@ -459,21 +449,9 @@ def _walk(basis: PatternBasis, max_n: int, budget, emit=None, leaves=None) -> li
     dead = int(any(len(q) == 1 for q in basis.patterns))
     counts[0] = 1
     budget.spend()
-    if emit is not None and emit((), dead if max_n else None):
-        return counts
     if max_n:
-        _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, emit, leaves)
+        _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, family)
     return counts
-
-
-def walk_avoiders(
-    basis: PatternBasis, max_n: int, emit, *, node_budget: int | None = None
-) -> list[int]:
-    """Call ``emit(p, mask)`` on every avoider p of length <= max_n, in
-    tree order (each parent before its children), with p's dead-slot mask
-    (None at length max_n). A true return skips p's descendants. Returns
-    the number of avoiders visited at each length."""
-    return _walk(basis, max_n, _NodeBudget(node_budget), emit)
 
 
 def levels_avoiders(
@@ -481,7 +459,13 @@ def levels_avoiders(
 ) -> dict[int, set[Perm]]:
     """All avoiders for every length 0..max_n from a single traversal."""
     out: dict[int, set[Perm]] = {n: set() for n in range(max_n + 1)}
-    walk_avoiders(basis, max_n, lambda p, _mask: out[len(p)].add(p), node_budget=node_budget)
+
+    def family(p: Perm, live: int) -> None:
+        n1 = len(p) + 1
+        out[n1].update(p[:s] + (n1,) + p[s:] for s in range(n1) if live >> s & 1)
+
+    if _walk(basis, max_n, _NodeBudget(node_budget), family)[0]:
+        out[0].add(())
     return out
 
 
@@ -496,12 +480,12 @@ def avoider_masks(
     Length max_n itself is never built."""
     masks: dict[Perm, int] = {}
 
-    def record(p: Perm, dead: int) -> bool:
-        masks[p] = dead
+    def family(p: Perm, live: int) -> bool:
+        masks[p] = live ^ ((1 << (len(p) + 1)) - 1)
         return len(p) == max_n - 1
 
     if max_n:  # a negative max_n is refused by the walk
-        walk_avoiders(basis, max_n, record, node_budget=node_budget)
+        _walk(basis, max_n, _NodeBudget(node_budget), family)
     return masks
 
 
@@ -527,7 +511,7 @@ def _usable_cpus() -> int:
 def _count_share(roots, table, max_n: int, counts: list, budget) -> None:
     """Add the strict descendants of each (root, mask) pair to ``counts``."""
     for root, dead in roots:
-        _grow(root, dead, table, max_n, counts, budget, None)
+        _grow(root, dead, table, max_n, counts, budget)
 
 
 def _fork_share(roots, table, max_n: int, budget) -> tuple[int, BinaryIO]:
@@ -561,10 +545,10 @@ def _count_parallel(basis: PatternBasis, max_n: int, budget: _NodeBudget) -> lis
     split = min(_PARALLEL_SPLIT_DEPTH, max_n - 1)
     roots: list[tuple[Perm, int]] = []
 
-    def cut(p: Perm, dead: int) -> bool:
+    def cut(p: Perm, live: int) -> bool:
         if len(p) < split:
             return False
-        roots.append((p, dead))
+        roots.append((p, live ^ ((1 << (split + 1)) - 1)))
         return True
 
     counts = _walk(basis, max_n, budget, cut)

@@ -144,32 +144,27 @@ def _split(w: Perm) -> tuple[Perm, int]:
     return w[:s] + w[s + 1 :], s
 
 
-def _walk_rank_free(source, k: int, max_n: int, visit, leaves, node_budget) -> list[int]:
+def _walk_rank_free(source, k: int, max_n: int, family, node_budget) -> list[int]:
     """Walk ``source`` to length max_n, returning its sizes: one call
-    ``leaves(p, live, bound)`` per member p of length max_n - 1, whose child
+    ``family(p, live, bound)`` per member p shorter than max_n, whose child
     with a new maximum at a slot s set in ``live`` has no 12...k iff s <
-    bound, and ``visit(p, free)`` on every other member but those children,
-    where ``free`` is whether p has none (k >= 1).
+    bound (k >= 1); a true return cuts those children.
 
     The walk visits in depth-first preorder: the parent of a member p of
     length n (p without its maximum) is the last member of length n-1
     visited before it. So p is free iff its parent is and the slot of its
     maximum lies below the parent's ``maps._free_below``, kept per length
-    for the last member visited (0 when it is not free), and handed to
-    ``leaves``. Only free members with children make that patience pass."""
-    below = [0] * (max_n + 1)
+    for the last member visited (0 when it is not free). Only free members
+    with children make that patience pass."""
+    below = [0] * max_n
 
-    def emit(p: Perm, dead) -> None:
+    def rank_free(p: Perm, live: int) -> bool:
         n = len(p)
         free = p.index(n) < below[n - 1] if n else True
-        if not free:
-            below[n] = 0
-        elif dead is not None and dead != (1 << (n + 1)) - 1:
-            below[n] = _free_below(p, k)
-        visit(p, free)
+        below[n] = _free_below(p, k) if free and live else 0
+        return family(p, live, below[n])
 
-    budget = _NodeBudget(node_budget)
-    return _walk(source, max_n, budget, emit, lambda p, live: leaves(p, live, below[len(p)]))
+    return _walk(source, max_n, _NodeBudget(node_budget), rank_free)
 
 
 def _unpack(bits: dict[Perm, int], n: int):
@@ -203,21 +198,21 @@ def certify_map(
     ``avoids_basis`` before it is reported, as is the empty image, which
     has no parent mask.
 
-    The source is then streamed through ``_walk_rank_free``, members of
-    length max_n per parent; the map's output-only kernel (from the map
-    table in ``maps``) runs once at each member, the inverse right after
-    it, and neither makes the patience pass when the walk says the member
-    has no 12...k. No level of either class is kept as a set. Each image
-    sets one hit bit keyed the same way, above the dead slots of its key in
-    the target masks. At length max_n an image equal to its member is keyed
-    by the tree (key the parent, slot the child's), and the parent's hit
-    bits are OR-ed in once, after one collision test. A key the target
-    lacks enters with all its slots dead, so its images go to the pattern
-    search and it adds no target member. A hit bit found set is a
-    collision, and the image sizes are popcounts. The counterexample is the
-    one a sorted sweep meets first: at the least length with a violation,
-    the least input whose image leaves the target or fails the roundtrip
-    (the image check first), else the collision."""
+    The source is then streamed through ``_walk_rank_free``, every member
+    with its siblings under their parent (the root () on its own); the
+    map's output-only kernel (from the map table in ``maps``) runs once at
+    each member, the inverse right after it, and neither makes the patience
+    pass when the walk says the member has no 12...k. No level of either
+    class is kept as a set. Each image sets one hit bit keyed the same way,
+    above the dead slots of its key in the target masks. An image equal to
+    its member is keyed by the tree (key the parent, slot the child's), and
+    the parent's hit bits are OR-ed in once, after one collision test. A
+    key the target lacks enters with all its slots dead, so its images go
+    to the pattern search and it adds no target member. A hit bit found set
+    is a collision, and the image sizes are popcounts. The counterexample
+    is the one a sorted sweep meets first: at the least length with a
+    violation, the least input whose image leaves the target or fails the
+    roundtrip (the image check first), else the collision."""
     if map_name not in ("F", "G", "H"):
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
     x = _param(map_name, i, j)
@@ -259,12 +254,7 @@ def certify_map(
                 bad["recovered"] = format_perm(back)
             least[n] = (p, bad)
 
-    def visit(p: Perm, free: bool) -> None:
-        w = kernel(p, k, x, free)[0]
-        back = p if backward is None else backward(w, k, x, free and w == p)[0]
-        check(p, w, back, *place(w))
-
-    def leaves(p: Perm, live: int, bound: int) -> None:
+    def family(p: Perm, live: int, bound: int) -> None:
         n = len(p) + 1
         dead, hits = masks.get(p, (1 << n) - 1), 0
         for s in range(n):
@@ -286,7 +276,10 @@ def certify_map(
                 collided[n] = True
             masks[p] = dead | hits << n
 
-    src_sizes = _walk_rank_free(source, k, max_n, visit, leaves, node_budget)
+    src_sizes = _walk_rank_free(source, k, max_n, family, node_budget)
+    if src_sizes[0]:  # the root has no parent to take it
+        w = kernel((), k, x, True)[0]
+        check((), w, () if backward is None else backward(w, k, x, w == ())[0], *place(w))
     tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
     for key, bits in masks.items():
@@ -387,11 +380,11 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     closed, and collect its minimal non-members: permutations outside the
     image whose every single-entry deletion lies inside.
 
-    The source is streamed through ``_walk_rank_free`` and H's output-only
-    kernel; image[n] is kept as live masks, {w without its maximum: the
-    slots of that maximum}, like ``avoider_masks`` with the bits inverted.
-    At length max_len, where members arrive per parent, an image equal to
-    its member takes its key and slot from the tree, the parent and the
+    The source is streamed through ``_walk_rank_free``, every member with
+    its siblings under their parent, and H's output-only kernel; image[n]
+    is kept as live masks, {w without its maximum: the slots of that
+    maximum}, like ``avoider_masks`` with the bits inverted. An image equal
+    to its member takes its key and slot from the tree, the parent and the
     slot of the child, and the parent's bits are OR-ed in once.
     No sweep over all n! permutations: a minimal non-member q of length n
     has q without its maximum in image[n-1], so the candidates are the n
@@ -412,28 +405,21 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
         raise UsageError(f"max_len is capped at 9, got {max_len}")
     image: list[dict[Perm, int]] = [{} for _ in range(max_len + 1)]
 
-    def record(w: Perm) -> None:
-        if w:  # H maps () to itself
-            key, s = _split(w)
-            image[len(w)][key] = image[len(w)].get(key, 0) | 1 << s
-
-    def visit(p: Perm, free: bool) -> None:
-        record(kernel(p, k, j, free)[0])
-
-    def leaves(p: Perm, live: int, bound: int) -> None:
+    def family(p: Perm, live: int, bound: int) -> None:
         n, hits = len(p) + 1, 0
         for s in range(n):
             if live >> s & 1:
                 child = p[:s] + (n,) + p[s:]
                 w = kernel(child, k, j, s < bound)[0]
-                if w != child:
-                    record(w)
-                else:  # keyed by the tree: key p, slot s
+                if w == child:  # keyed by the tree: key p, slot s
                     hits |= 1 << s
+                else:
+                    key, t = _split(w)
+                    image[n][key] = image[n].get(key, 0) | 1 << t
         if hits:
             image[n][p] = image[n].get(p, 0) | hits
 
-    sizes = _walk_rank_free(map_classes("H", k, j)[0], k, max_len, visit, leaves, node_budget)
+    sizes = _walk_rank_free(map_classes("H", k, j)[0], k, max_len, family, node_budget)
     for n in range(1, max_len + 1):
         sizes[n] = sum(live.bit_count() for live in image[n].values())
     def members(n: int):

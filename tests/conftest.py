@@ -8,6 +8,7 @@ paths they check.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
@@ -77,6 +78,32 @@ def oracle_rank_marks(p, k):
 
     extend([])
     return marks
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts <= largest, parts in decreasing order."""
+    if not n:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+@functools.cache
+def oracle_monotone_count(n: int, k: int) -> int:
+    """|Av_n(12...k)| for k >= 1 without the generating tree: by RSK, the sum
+    of (f^lam)^2 over the partitions lam of n with every part <= k - 1 (the
+    longest increasing subsequence is the first row), where the hook-length
+    formula gives f^lam = n! / (the product of lam's hook lengths)."""
+    total = 0
+    for lam in _partitions(n, k - 1):
+        cols = [sum(part > c for part in lam) for c in range(lam[0])] if lam else []
+        hooks = math.prod(
+            (part - c) + (cols[c] - r) - 1 for r, part in enumerate(lam) for c in range(part)
+        )
+        total += (math.factorial(n) // hooks) ** 2
+    return total
 
 
 def oracle_lis_tables(p):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import patlab.enumeration as enumeration
-from conftest import oracle_avoids_basis, perms, reference_new_kills
+from conftest import oracle_avoids_basis, oracle_monotone_count, perms, reference_new_kills
 from patlab import (
     BudgetExceededError,
     InternalCheckError,
@@ -32,7 +32,7 @@ from patlab import (
     parse_perm,
 )
 from patlab.cli import main
-from patlab.enumeration import avoider_masks, walk_avoiders
+from patlab.enumeration import avoider_masks
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "v1"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -76,6 +76,12 @@ MISC_BASES = [
 
 def basis_of(patterns):
     return make_basis([parse_perm(s) for s in patterns], label=";".join(patterns))
+
+
+def walk(basis, max_n, family, node_budget=None) -> list[int]:
+    """Run the kernel's walk with the hook ``family(p, live)``, which sees
+    every avoider shorter than max_n; the counts by length."""
+    return enumeration._walk(basis, max_n, enumeration._NodeBudget(node_budget), family)
 
 
 def count_walks(monkeypatch) -> list:
@@ -164,6 +170,21 @@ class TestBeyondBruteForce:
         par = count_sequence(10, basis, parallel=True)
         assert par.counts == count_sequence(10, basis).counts
         assert par.values()[9:] == (158_298, 1_091_984)
+
+    # the hook-length formula, which shares nothing with the tree
+    @pytest.mark.parametrize("k, max_n", [(3, 13), (4, 11), (5, 10), (6, 10)])
+    def test_monotone_counts_match_the_hook_length_formula(self, k, max_n):
+        seq = count_sequence(max_n, make_basis([tuple(range(1, k + 1))]))
+        assert seq.values() == tuple(oracle_monotone_count(n, k) for n in range(max_n + 1))
+
+    # |Av_n(D(k,1))| = |Av_n(D(k,k+1))| = n |Av_{n-1}(12...k)|, one length
+    # past the brute-force cap
+    @pytest.mark.parametrize("k, j", [(3, 1), (3, 4), (4, 1), (4, 5)])
+    def test_end_gap_counts_match_the_hook_length_formula(self, k, j):
+        seq = count_sequence(10, distant_monotone_basis(k, j))
+        assert [seq.count(n) for n in range(1, 11)] == [
+            n * oracle_monotone_count(n - 1, k) for n in range(1, 11)
+        ]
 
 
 class TestCountSequence:
@@ -320,9 +341,7 @@ class TestKernelOracle:
     @staticmethod
     def assert_masks_are_dead_slots(basis, max_len=6):
         def check(p, mask):
-            if mask is None:  # length max_n: never expanded, so no mask
-                return
-            live = {s for s in range(len(p) + 1) if not mask >> s & 1}
+            live = {s for s in range(len(p) + 1) if mask >> s & 1}
             want = {
                 s
                 for s in range(len(p) + 1)
@@ -330,8 +349,8 @@ class TestKernelOracle:
             }
             assert live == want, (p, basis.patterns)
 
-        # masks exist for every node of length <= max_len
-        enumeration._walk(basis, max_len + 1, enumeration._NodeBudget(10**6), check)
+        # the hook sees every node of length <= max_len
+        walk(basis, max_len + 1, check, 10**6)
 
     @settings(max_examples=50)
     @given(BASES)
@@ -422,11 +441,9 @@ class TestKillSweeps:
         table = enumeration._kill_table(basis.patterns)
         parents = []
 
-        def check(p, dead):
-            if dead is None:
-                return
+        def check(p, live):
             parents.append(p)
-            live = ~dead & ((1 << (len(p) + 1)) - 1)
+            dead = live ^ ((1 << (len(p) + 1)) - 1)
             got = enumeration._new_kills(p, live, table)
             want = reference_new_kills(p, live, basis.patterns)
             for s0 in range(len(p) + 1):
@@ -435,7 +452,7 @@ class TestKillSweeps:
                     inherited = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1))
                     assert inherited | got[s0] == inherited | want[s0], (basis.label, p, s0)
 
-        walk_avoiders(basis, max_len, check)
+        walk(basis, max_len, check)
         assert max(map(len, parents)) == max_len - 1
 
     # children to length 8 (k=5 to 7: q'' has length 4 there, so both sides
@@ -544,7 +561,7 @@ class TestBudgetsAndCaps:
         # join sum stays within it: only the child's copy runs out.
         basis = basis_of(["321"])
         roots = []
-        walk_avoiders(basis, 6, lambda p, _mask: roots.append(p) if len(p) == 6 else None)
+        walk(basis, 7, lambda p, _live: roots.append(p) if len(p) == 6 else None)
         levels = levels_avoiders(basis, 8)
         below = Counter(tuple(v for v in p if v <= 6) for n in (7, 8) for p in levels[n])
         share = [sum(below[r] for r in roots[w::2]) for w in (0, 1)]
@@ -595,14 +612,44 @@ class TestWalk:
         # it (certification's rank-free bit rests on this)
         last, orphans = {}, []
 
-        def emit(p, _mask):
+        def family(p, _live):
             n = len(p)
             if n and last.get(n - 1) != tuple(v for v in p if v != n):
                 orphans.append(p)
             last[n] = p
 
-        sizes = walk_avoiders(basis_of(patterns), 7, emit)
+        sizes = walk(basis_of(patterns), 8, family)
         assert orphans == [] and sizes[7]
+
+    def test_hook_sees_each_parent_once_and_cuts_its_children(self):
+        # the hook sees every member shorter than max_n once, and its live
+        # slots are the children: together the levels past the root
+        basis, max_n = basis_of(["123"]), 5
+        seen = []
+        sizes = walk(basis, max_n, lambda p, live: seen.append((p, live)))
+        levels = levels_avoiders(basis, max_n)
+        assert sorted(p for p, _ in seen) == sorted(p for n in range(max_n) for p in levels[n])
+        assert len(seen) == len(set(seen))
+        for n in range(1, max_n + 1):
+            children = {
+                p[:s] + (n,) + p[s:]
+                for p, live in seen if len(p) == n - 1
+                for s in range(n) if live >> s & 1
+            }
+            assert children == levels[n] == brute_force_avoiders(n, basis), n
+        assert sizes == [len(levels[n]) for n in range(max_n + 1)]
+        # a true return at 21 drops exactly its subtree, 21 itself kept
+        at_21 = lambda p, _live: p == (2, 1)
+        subtree = [
+            sum(n > 2 and tuple(v for v in p if v < 3) == (2, 1) for p in levels[n])
+            for n in range(max_n + 1)
+        ]
+        cut = walk(basis, max_n, at_21)
+        assert cut == [size - drop for size, drop in zip(sizes, subtree)] and subtree[max_n]
+        # one node per member the cut walk reaches, and not one more
+        assert walk(basis, max_n, at_21, sum(cut)) == cut
+        with pytest.raises(BudgetExceededError):
+            walk(basis, max_n, at_21, sum(cut) - 1)
 
     def test_zero_length(self):
         basis = basis_of(["12"])

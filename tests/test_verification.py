@@ -223,8 +223,8 @@ class TestCertify:
         ("F", {"i": 1}, "Finv"), ("G", {}, "Ginv"), ("H", {"j": 3}, None),
     ], ids=["F", "G", "H"])
     def test_kernel_then_inverse_once_per_member(self, monkeypatch, name, params, inverse):
-        # inner members one by one and the last length per parent: each
-        # member meets the kernel once, and the inverse once, right after it
+        # every member with its siblings under their parent, the root on
+        # its own: each meets the kernel once, and the inverse right after it
         log = []
         for entry, tag in ((name, "forward"), (inverse, "backward")):
             if entry is None:
@@ -286,7 +286,8 @@ class TestRankFreeWalk:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_bit_on_every_source_member_to_length_8(self, k):
         # every source class of the maps at k, and Av(321), rich in 12...k;
-        # the members of length 8 arrive per parent, with their slots' bound
+        # each member arrives under its parent, with its slot's bound, and
+        # the root, which has no parent, has no 12...k
         bases = [monotone_basis(k, j, i) for j, i in map_sources(k)]
         for basis in bases + [make_basis([(3, 2, 1)])]:
             seen, wrong = {True: 0, False: 0}, []
@@ -296,30 +297,35 @@ class TestRankFreeWalk:
                 if free != (k not in _up_runs(p)):
                     wrong.append(p)
 
-            def leaves(p, live, bound):
+            def family(p, live, bound):
                 for s in range(len(p) + 1):
                     if live >> s & 1:
                         visit(p[:s] + (len(p) + 1,) + p[s:], s < bound)
 
-            sizes = verification._walk_rank_free(basis, k, 8, visit, leaves, None)
+            sizes = verification._walk_rank_free(basis, k, 8, family, None)
+            visit((), True)
             assert wrong == [], (basis.label, wrong[:3])
             assert seen[False], basis.label  # every class here has a 12...k by n=8
             assert seen[True] + seen[False] == sum(sizes), basis.label
 
     def test_each_last_length_child_once_with_its_parent(self):
-        # visit sees the members shorter than max_n, leaves their parents
-        # one below it: together every member once, in tree order
+        # the hook sees the members shorter than max_n, each once and in
+        # tree order; their live slots give every member past the root once
         basis = monotone_basis(3, 2, 2)
-        visited, parents = [], []
+        parents = []
         verification._walk_rank_free(
-            basis, 3, 6, lambda p, free: visited.append(p),
-            lambda p, live, bound: parents.append((p, live)), None,
+            basis, 3, 6, lambda p, live, bound: parents.append((p, live)), None
         )
         levels = levels_avoiders(basis, 6)
+        visited = [p for p, _ in parents]
         assert sorted(visited) == sorted(p for n in range(6) for p in levels[n])
-        assert [p for p, _ in parents] == [p for p in visited if len(p) == 5]
-        children = {p[:s] + (6,) + p[s:] for p, live in parents for s in range(6) if live >> s & 1}
-        assert children == levels[6]
+        assert len(set(visited)) == len(visited)
+        for n in range(1, 7):
+            children = [
+                p[:s] + (n,) + p[s:] for p, live in parents if len(p) == n - 1
+                for s in range(n) if live >> s & 1
+            ]
+            assert sorted(children) == sorted(levels[n]), n
 
 
 class TestCertifyFailures:
@@ -404,9 +410,11 @@ class TestCertifyFailures:
         ((1, 4, 2, 3), (1, 2, 4, 3)),  # the sibling's 4 at slot 1, the moved child's at 2
         ((1, 2, 4, 3), (1, 4, 2, 3)),  # the sibling's 4 at slot 2, the moved child's at 1
     ], ids=["sibling-lower", "sibling-higher"])
-    def test_collision_inside_one_parent(self, monkeypatch, sibling, moved):
-        # at max_n = 4 the children of 123 arrive together: one is sent onto
-        # a sibling whose image is itself, keyed by the tree, not by a split
+    @pytest.mark.parametrize("max_n", [4, 6])
+    def test_collision_inside_one_parent(self, monkeypatch, sibling, moved, max_n):
+        # the children of 123 arrive together, at the last length (4) or an
+        # inner one (6): one is sent onto a sibling whose image is itself,
+        # keyed by the tree, not by a split
         source, _ = source_and_target("H", 4, j=3)
         assert {sibling, moved} <= levels_avoiders(source, 4)[4]
 
@@ -416,11 +424,11 @@ class TestCertifyFailures:
             return _window_kernel(p, k, rank, exclude_lower, free)
 
         monkeypatch.setattr(maps, "_window_kernel", broken_H)
-        report = certify_map("H", 4, j=3, max_n=4)
+        report = certify_map("H", 4, j=3, max_n=max_n)
         assert report.counterexample == {"n": 4, "reason": "two inputs share an output"}
         rows = report.rows
         assert not rows[4]["injective"] and rows[4]["image_size"] == rows[4]["source_size"] - 1
-        assert all(r["injective"] for r in rows[:4])
+        assert all(r["injective"] for r in rows if r["n"] != 4)
 
     def test_images_with_keys_outside_the_target_are_counted(self, monkeypatch):
         # with H the identity, members of Av(M(4,3,2)) whose parent leaves
@@ -478,8 +486,8 @@ class TestCertifyFailures:
         visited = []
         walk = verification._walk
 
-        def logged_walk(basis, max_n, budget, emit, leaves):
-            return walk(basis, max_n, budget, lambda p, m: visited.append(p) or emit(p, m), leaves)
+        def logged_walk(basis, max_n, budget, family):
+            return walk(basis, max_n, budget, lambda p, live: visited.append(p) or family(p, live))
 
         monkeypatch.setattr(verification, "_walk", logged_walk)
         report = certify_map("H", 2, j=2, max_n=4)
