@@ -5,7 +5,8 @@ that table and ``main`` dispatches through it. Each adapter is a thin layer
 over the library, and ``_render`` writes its report in the chosen format,
 byte for byte the same on every run:
 
-- json: the report's dict (``as_json_dict()``, but for count), indented by 2;
+- json: the report's dict (``as_json_dict()``, but for count), indented by 2,
+  the one renderer that loads ``json``;
 - csv: a header line, then one comma-separated line per row;
 - table: the header and rows in right-aligned columns, then the note lines,
   the verdict last. ``map``, ``basis`` and ``survey`` are free text: notes only.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 
@@ -76,6 +76,7 @@ def _render(fmt: str, doc: dict, header=(), rows=(), notes=(), csv=None) -> str:
     (its header first), else ``header`` and ``rows``; a table is ``header``
     and ``rows`` right-aligned in columns, then one line per note."""
     if fmt == "json":
+        import json  # loaded by JSON reports only: csv and table calls start without it
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
         lines = [",".join(map(str, row)) for row in csv or [header, *rows]]

@@ -44,7 +44,6 @@ summed counts over the limit, as the sequential walk would.
 from __future__ import annotations
 
 import os
-import signal
 import sys
 from itertools import permutations
 from typing import BinaryIO, NamedTuple
@@ -589,6 +588,7 @@ def _count_parallel(basis: PatternBasis, max_n: int, budget: _NodeBudget) -> lis
             counts = [c + int(f) for c, f in zip(counts, fields)]
     finally:
         for _, pid, pipe in children:  # on any exception, interrupts included
+            import signal  # loaded only to kill a stuck worker
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -177,6 +177,37 @@ def _unpack(bits: dict[Perm, int], n: int):
             yield key[:s] + (n,) + key[s:]
 
 
+def _closed_slots(prev: dict[Perm, int], n: int):
+    """(u, closed) for each member u of length n-1 >= 1 in ``prev`` (live
+    masks) with closed slots s: u with n at s has every deletion of an entry
+    of u in prev. A sibling u is a key K with n-1 at a slot t. Deleting n-1
+    leaves K, at the siblings' slots; deleting K's entry x leaves K without x
+    with n-2 at slot t-1 if x lies left of t, else at t, read from an index
+    once for all of K's siblings. Each is lifted past x's position in u as
+    ``_grow`` shifts its child masks: slots <= pos stay, slots >= pos move up."""
+    index: dict[Perm, dict[int, int]] = {}  # J -> {slot of J's maximum: mask of J}
+    for key, live in prev.items() if n > 2 else ():
+        sub, t = _split(key)
+        index.setdefault(sub, {})[t] = live
+    for key, siblings in prev.items():
+        drops = [index.get(tuple([v - (v > x) for v in key if v != x])) for x in key]
+        if None in drops:  # some deletion leaves prev at every slot
+            continue
+        live = siblings
+        while live:
+            low = live & -live
+            live ^= low
+            t = low.bit_length() - 1
+            closed = (siblings & ((2 << t) - 1)) | ((siblings >> t) << (t + 1))
+            for i, slots in enumerate(drops):
+                pos, lower = (i, slots.get(t - 1, 0)) if i < t else (i + 1, slots.get(t, 0))
+                closed &= (lower & ((2 << pos) - 1)) | ((lower >> pos) << (pos + 1))
+                if not closed:
+                    break
+            else:
+                yield key[:t] + (n - 1,) + key[t:], closed
+
+
 def certify_map(
     map_name: str,
     k: int,
@@ -389,12 +420,12 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     No sweep over all n! permutations: a minimal non-member q of length n
     has q without its maximum in image[n-1], so the candidates are the n
     insertions of a new maximum into each parent in image[n-1]. Deleting
-    the parent's entry x (at position pos) from such a candidate leaves an
-    insertion into the parent without x, so one key lookup in image[n-1]
-    gives, lifted past pos, the slots whose deletion of x stays inside. The
-    AND of those over x are the closed slots: closed members are counted by
-    ``closed & live``, and ``closed & ~live`` are minimal non-members. The
-    image is deletion closed iff its closed members number |image[n]|.
+    the parent's entry x from such a candidate leaves an insertion into the
+    parent without x; ``_closed_slots`` reads the slots where it stays in
+    image[n-1] off an index, and ANDs them over x into the closed slots:
+    closed members are counted by ``closed & live``, and ``closed & ~live``
+    are minimal non-members. The image is deletion closed iff its closed
+    members number |image[n]|.
 
     A deletion-closure violation is a hard finding (it would contradict the
     image being an avoidance class) and raises VerificationFailure naming
@@ -427,24 +458,13 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
 
     minimal: list[Perm] = []
     for n in range(1, max_len + 1):
-        prev, here = image[n - 1], image[n]
-        closed_members = 0
-        for parent in members(n - 1):
-            closed = (1 << n) - 1
-            for pos, x in enumerate(parent):
-                lower = prev.get(tuple([v - (v > x) for v in parent if v != x]), 0)
-                # the shift of _grow's child masks: slots <= pos stay, slots >= pos move up
-                closed &= (lower & ((1 << (pos + 1)) - 1)) | ((lower >> pos) << (pos + 1))
-                if not closed:
-                    break
+        here, closed_members = image[n], 0
+        # the empty member's one candidate, (1), has no entry of it to delete
+        for parent, closed in _closed_slots(image[n - 1], n) if n > 1 else [((), 1)][: sizes[0]]:
             live = here.get(parent, 0)
             closed_members += (closed & live).bit_count()
-            outside = closed & ~live
-            while outside:
-                low = outside & -outside
-                outside ^= low
-                s = low.bit_length() - 1
-                minimal.append(parent[:s] + (n,) + parent[s:])
+            if outside := closed & ~live:
+                minimal.extend(_unpack({parent: outside}, n))
         if closed_members != sizes[n]:
             inside = set(members(n - 1))
             w = min(w for w in members(n) if not deletions(w) <= inside)

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import errno
 import io
@@ -178,20 +179,93 @@ with contextlib.redirect_stdout(out):
 print(json.dumps({"loaded": loaded, "exit": code, "stdout": out.getvalue()}))
 """
 
+# A cold interpreter imports the CLI and parses the five M(4,t,t), then runs
+# a csv count on the parallel path (it forks), a table certificate and one
+# JSON report, listing after each what it has loaded of json and signal. It
+# prints with repr: importing json itself would spoil the list.
+_COLD_REPORTS = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from patlab import cli
+from patlab.patterns import parse_class_expression
+for t in range(1, 6):
+    parse_class_expression(f"M(4,{t},{t})")
+runs = []
+for argv in (["count", "--class", "M(4,3,3)", "--n", "8", "--format", "csv"],
+             ["certify", "--map", "G", "--k", "4", "--n", "5", "--format", "table"],
+             ["certify", "--map", "G", "--k", "3", "--n", "6", "--format", "json"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("json", "_json", "signal"))
+    runs.append((code, out.getvalue(), loaded))
+print(repr(runs))
+"""
+
+# The parallel count interrupted while a worker is stuck, in a cold
+# interpreter where nothing has loaded signal before the kill path needs it.
+_COLD_INTERRUPT = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from patlab import count_sequence, enumeration, monotone_basis
+parent = os.getpid()
+
+def stuck_share(*args):
+    if os.getpid() != parent:
+        time.sleep(60)
+    raise KeyboardInterrupt
+
+enumeration._count_share = stuck_share
+start = time.monotonic()
+try:
+    count_sequence(8, monotone_basis(4, 3, 3), parallel=True)
+    raised = False
+except KeyboardInterrupt:
+    raised = True
+elapsed = time.monotonic() - start
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = True
+except ChildProcessError:
+    children = False
+print(repr((raised, elapsed < 30, children)))
+"""
+
+
+def cold_run(snippet: str):
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", snippet, str(SRC)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={name: value for name, value in os.environ.items() if name != "PATLAB_BUDGET"},
+    )
+    return done.stdout
+
 
 class TestStartUp:
     def test_cli_imports_neither_dataclasses_nor_decimal_until_growth(self):
-        done = subprocess.run(
-            [sys.executable, "-I", "-c", _COLD_START, str(SRC)],
-            capture_output=True, text=True, timeout=120, check=True,
-            env={name: value for name, value in os.environ.items() if name != "PATLAB_BUDGET"},
-        )
-        result = json.loads(done.stdout)
+        result = json.loads(cold_run(_COLD_START))
         assert result["loaded"] == []
         golden = next(entry for entry in TRANSCRIPTS
                       if entry["argv"] == ["growth", "--class", "D(4,2)", "--n", "6",
                                            "--format", "json"])
         assert (result["exit"], result["stdout"]) == (golden["exit"], golden["stdout"])
+
+    def test_only_a_json_report_loads_json_and_no_report_loads_signal(self):
+        (count_code, count_out, after_count), (table_code, table_out, after_table), (
+            json_code, json_out, after_json) = ast.literal_eval(cold_run(_COLD_REPORTS))
+        assert after_count == after_table == []
+        assert count_code == table_code == 0
+        assert count_out == (GOLDEN / "M(4,3,3).csv").read_text()  # brute force
+        assert table_out.endswith("bijection: certified\n")
+        assert "json" in after_json and "signal" not in after_json
+        golden = next(entry for entry in TRANSCRIPTS
+                      if entry["argv"] == ["certify", "--map", "G", "--k", "3", "--n", "6",
+                                           "--format", "json"])
+        assert (json_code, json_out) == (golden["exit"], golden["stdout"])
+
+    def test_interrupt_kills_running_workers_before_signal_is_loaded(self):
+        # KeyboardInterrupt raised within 30 s, no child left
+        assert ast.literal_eval(cold_run(_COLD_INTERRUPT)) == (True, True, False)
 
 
 class TestDeterminism:

@@ -1,12 +1,13 @@
 """Wilf reports, certification, basis discovery, growth, sandwich, survey."""
 
 import math
+from itertools import permutations
 
 import pytest
 
 import patlab.maps as maps
 import patlab.verification as verification
-from conftest import oracle_avoids_basis, oracle_discover_basis
+from conftest import oracle_avoids_basis, oracle_discover_basis, oracle_pattern_of
 from patlab import (
     UsageError,
     VerificationFailure,
@@ -519,6 +520,38 @@ class TestCertifyFailures:
         )
         assert err.value.witness == witness
 
+    @pytest.mark.parametrize("dropped", [
+        (1, 2, 5, 4, 3),  # the least witness, 126543, has the dropped member as its parent
+        (5, 4, 3, 2, 1),  # the least witness, 165432, drops to it by deleting 1: read off the index
+    ])
+    def test_deeper_closure_failure_names_the_least_witness(self, monkeypatch, dropped):
+        # H is the identity on M(3,2,1) but sends one member of length 5 to
+        # another, so the image loses it and the first violation is at n=6
+        source = monotone_basis(3, 2, 1).patterns
+        level5, level6 = (
+            [p for p in permutations(range(1, n + 1)) if oracle_avoids_basis(p, source)]
+            for n in (5, 6)
+        )
+        image5 = set(level5) - {dropped}
+        other = min(image5)
+
+        def broken_H(p, k, rank, exclude_lower, free=False):
+            return other if p == dropped else p, ()
+
+        monkeypatch.setattr(maps, "_window_kernel", broken_H)
+        witness = min(
+            w for w in level6 if any(
+                oracle_pattern_of(w[:t] + w[t + 1 :]) not in image5 for t in range(6)
+            )
+        )
+        with pytest.raises(VerificationFailure) as err:
+            discover_basis(3, 2, 7)
+        assert str(err.value) == (
+            "image of H (k=3, j=2) is not deletion closed at n=6: "
+            f"{format_perm(witness)} drops to the non-member {format_perm(dropped)}"
+        )
+        assert err.value.witness == witness
+
 
 class TestExplicitBasis:
     def test_j2_is_plain_diagonal(self):
@@ -570,9 +603,9 @@ class TestDiscoverBasis:
         sizes = dict(result.image_sizes)
         assert sizes[4] == math.factorial(4) - len(monotone_basis(3, 2, 2))
 
-    @pytest.mark.parametrize("k, j", [(k, j) for k in (3, 4) for j in range(2, k + 1)])
+    @pytest.mark.parametrize("k, j", [(k, j) for k in (3, 4, 5) for j in range(2, k + 1)])
     def test_matches_the_full_sweep(self, k, j):
-        for max_len in range(7):
+        for max_len in range(7 if k == 3 else 8):
             result = discover_basis(k, j, max_len)
             minimal, sizes = oracle_discover_basis(k, j, max_len)
             assert result.discovered.as_set() == minimal, (k, j, max_len)
