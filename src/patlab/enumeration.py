@@ -5,15 +5,15 @@ inserting the new maximum n+1 at one of the n+1 slots (slot s puts it before
 position s). Soundness rests on deletion closure: removing the maximum from
 an avoider leaves an avoider.
 
-Every node carries an int bitmask of its dead slots, the slots whose
-insertion would create a basis pattern. For a basis pattern q, let q' be q
-without its maximum. Inserting a maximum at slot s of an avoider creates q
-exactly when some occurrence of q' straddles s: the entries left of q's
-maximum lie before the slot, the rest at or after it. An occurrence therefore
-kills the slot range (a, b], where a is the position of the entry just left
-of q's maximum (-1 if none) and b the position of the entry just right of it
-(the length if none). A child keeps its parent's dead slots, shifted past the
-inserted maximum; the only new ones come from occurrences of q' that use the
+Every node carries an int bitmask of its live slots, the slots where a new
+maximum creates no basis pattern. For a basis pattern q, let q' be q without
+its maximum. Inserting a maximum at slot s of an avoider creates q exactly
+when some occurrence of q' straddles s: the entries left of q's maximum lie
+before the slot, the rest at or after it. An occurrence therefore kills the
+slot range (a, b], where a is the position of the entry just left of q's
+maximum (-1 if none) and b the position of the entry just right of it (the
+length if none). A child's live slots are its parent's, lifted past the
+inserted maximum, less the slots killed by occurrences of q' that use the
 new maximum, which must play the maximum of q'. Without it they are the
 occurrences of q'' (q' without its maximum) in the parent, which do not
 depend on the slot. Each parent takes one kill step per basis pattern, and
@@ -379,7 +379,7 @@ def _new_kills(p: Perm, live: int, table) -> list[int]:
     child slots killed by a maximum inserted at live slot s0, the union over
     the kill table's entries of ``_sweep`` or ``_search``. A sweep may also
     kill slots that are dead in p already, which the search skips; the child
-    masks, each the parent's shifted past s0 OR entry s0, are the same."""
+    masks, each the parent's lifted past s0 AND NOT entry s0, are the same."""
     n = len(p)
     new = [0] * (n + 1)
     above = None
@@ -401,17 +401,15 @@ def _new_kills(p: Perm, live: int, table) -> list[int]:
     return new
 
 
-def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, family=None) -> None:
-    """Add every strict descendant of ``p`` (dead slots ``dead``) of length
+def _grow(p: Perm, live: int, table, max_n: int, counts: list, budget, family=None) -> None:
+    """Add every strict descendant of ``p`` (live slots ``live``) of length
     <= max_n to ``counts`` by length, charging one budget unit per node.
 
     One ``_new_kills`` call gives the new dead slots of all of p's children.
-    ``family``, when given, is called as ``family(p, live)`` with the live
-    slots of p's children before they are counted; a true return cuts them.
-    Without it a child one below max_n is never built: its live slots are
-    counted."""
+    ``family``, when given, is called as ``family(p, live)`` before the
+    children are counted; a true return cuts them. Without it a child one
+    below max_n is never built: its live slots are counted."""
     n1 = len(p) + 1
-    live = ~dead & ((1 << n1) - 1)
     if family is not None and family(p, live):
         return
     found = live.bit_count()
@@ -423,12 +421,12 @@ def _grow(p: Perm, dead: int, table, max_n: int, counts: list, budget, family=No
     last = family is None and n1 + 1 == max_n
     grand = 0
     for s0 in range(n1):
-        if dead >> s0 & 1:
+        if not live >> s0 & 1:
             continue
         # parent slot t <= s0 is child slot t, and t >= s0 is child slot t + 1
-        mask = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1)) | new[s0]
+        mask = ((live & ((2 << s0) - 1)) | ((live >> s0) << (s0 + 1))) & ~new[s0]
         if last:
-            grand += n1 + 1 - mask.bit_count()
+            grand += mask.bit_count()
         else:
             _grow(p[:s0] + (n1,) + p[s0:], mask, table, max_n, counts, budget, family)
     if grand:
@@ -444,12 +442,12 @@ def _walk(basis: PatternBasis, max_n: int, budget, family=None) -> list[int]:
     counts = [0] * (max_n + 1)
     if any(len(q) == 0 for q in basis.patterns):
         return counts
-    # the root's one slot is dead iff a pattern of length 1 forbids everything
-    dead = int(any(len(q) == 1 for q in basis.patterns))
+    # the root's one slot is live unless a pattern of length 1 forbids everything
+    live = int(not any(len(q) == 1 for q in basis.patterns))
     counts[0] = 1
     budget.spend()
     if max_n:
-        _grow((), dead, _kill_table(basis.patterns), max_n, counts, budget, family)
+        _grow((), live, _kill_table(basis.patterns), max_n, counts, budget, family)
     return counts
 
 
@@ -460,8 +458,7 @@ def levels_avoiders(
     out: dict[int, set[Perm]] = {n: set() for n in range(max_n + 1)}
 
     def family(p: Perm, live: int) -> None:
-        n1 = len(p) + 1
-        out[n1].update(p[:s] + (n1,) + p[s:] for s in range(n1) if live >> s & 1)
+        out[len(p) + 1].update(_members(p, live))
 
     if _walk(basis, max_n, _NodeBudget(node_budget), family)[0]:
         out[0].add(())
@@ -471,21 +468,34 @@ def levels_avoiders(
 def avoider_masks(
     basis: PatternBasis, max_n: int, *, node_budget: int | None = None
 ) -> dict[Perm, int]:
-    """The dead-slot mask of every avoider shorter than ``max_n``.
+    """The live-slot mask of every avoider shorter than ``max_n``.
 
-    A permutation w of length n in 1..max_n avoids the basis iff w without
-    its maximum is a key and slot ``w.index(n)`` is live in that key's mask,
-    so |Av_n| is the number of live slots over the keys of length n - 1.
-    Length max_n itself is never built."""
+    A permutation w of length n in 1..max_n avoids the basis iff its key
+    (``_split``) is present and slot ``w.index(n)`` is set in that key's
+    mask, so |Av_n| is the number of set slots over the keys of length
+    n - 1. Length max_n itself is never built."""
     masks: dict[Perm, int] = {}
 
     def family(p: Perm, live: int) -> bool:
-        masks[p] = live ^ ((1 << (len(p) + 1)) - 1)
+        masks[p] = live
         return len(p) == max_n - 1
 
     if max_n:  # a negative max_n is refused by the walk
         _walk(basis, max_n, _NodeBudget(node_budget), family)
     return masks
+
+
+def _split(w: Perm) -> tuple[Perm, int]:
+    """Nonempty ``w`` as a mask key and slot: w without its maximum, and
+    the slot of that maximum."""
+    s = w.index(len(w))
+    return w[:s] + w[s + 1 :], s
+
+
+def _members(key: Perm, live: int):
+    """The permutations ``key`` with a new maximum at a slot set in ``live``."""
+    n = len(key) + 1
+    return (key[:s] + (n,) + key[s:] for s in range(n) if live >> s & 1)
 
 
 def count_sequence(
@@ -508,9 +518,9 @@ def _usable_cpus() -> int:
 
 
 def _count_share(roots, table, max_n: int, counts: list, budget) -> None:
-    """Add the strict descendants of each (root, mask) pair to ``counts``."""
-    for root, dead in roots:
-        _grow(root, dead, table, max_n, counts, budget)
+    """Add the strict descendants of each (root, live) pair to ``counts``."""
+    for root, live in roots:
+        _grow(root, live, table, max_n, counts, budget)
 
 
 def _fork_share(roots, table, max_n: int, budget) -> tuple[int, BinaryIO]:
@@ -547,7 +557,7 @@ def _count_parallel(basis: PatternBasis, max_n: int, budget: _NodeBudget) -> lis
     def cut(p: Perm, live: int) -> bool:
         if len(p) < split:
             return False
-        roots.append((p, live ^ ((1 << (split + 1)) - 1)))
+        roots.append((p, live))
         return True
 
     counts = _walk(basis, max_n, budget, cut)

@@ -14,17 +14,20 @@ from typing import TYPE_CHECKING, NamedTuple
 from .enumeration import (
     CountSequence,
     _NodeBudget,
+    _members,
+    _split,
     _walk,
     avoider_masks,
     avoids_basis,
     count_sequence,
-    levels_avoiders,
 )
 from .errors import UsageError, VerificationFailure
 from .maps import _MAPS, _enter, _free_below, _param, map_classes
 
-# Not called here since certification runs the kernels of the map table, but
-# still imported: the benchmark's tracer wraps these names on this module.
+# Not called here since certification runs the kernels of the map table and
+# the sandwich reads its inclusions off the bases, but still imported: the
+# benchmark's tracer wraps these names on this module.
+from .enumeration import levels_avoiders  # noqa: F401
 from .maps import invert_F, map_F, map_G, map_H  # noqa: F401
 from .patterns import (
     PatternBasis,
@@ -137,13 +140,6 @@ class CertifyReport(NamedTuple):
         }
 
 
-def _split(w: Perm) -> tuple[Perm, int]:
-    """Nonempty ``w`` as an ``avoider_masks`` key and bit: w without its
-    maximum, and the slot of that maximum."""
-    s = w.index(len(w))
-    return w[:s] + w[s + 1 :], s
-
-
 def _walk_rank_free(source, k: int, max_n: int, family, node_budget) -> list[int]:
     """Walk ``source`` to length max_n, returning its sizes: one call
     ``family(p, live, bound)`` per member p shorter than max_n, whose child
@@ -167,24 +163,15 @@ def _walk_rank_free(source, k: int, max_n: int, family, node_budget) -> list[int
     return _walk(source, max_n, _NodeBudget(node_budget), rank_free)
 
 
-def _unpack(bits: dict[Perm, int], n: int):
-    """The permutations of length n whose bits are set in ``bits``."""
-    for key, live in bits.items():
-        while live:
-            low = live & -live
-            live ^= low
-            s = low.bit_length() - 1
-            yield key[:s] + (n,) + key[s:]
-
-
 def _closed_slots(prev: dict[Perm, int], n: int):
-    """(u, closed) for each member u of length n-1 >= 1 in ``prev`` (live
-    masks) with closed slots s: u with n at s has every deletion of an entry
-    of u in prev. A sibling u is a key K with n-1 at a slot t. Deleting n-1
-    leaves K, at the siblings' slots; deleting K's entry x leaves K without x
-    with n-2 at slot t-1 if x lies left of t, else at t, read from an index
-    once for all of K's siblings. Each is lifted past x's position in u as
-    ``_grow`` shifts its child masks: slots <= pos stay, slots >= pos move up."""
+    """(u, closed) for each member u of length n-1 >= 1 in ``prev`` (masks
+    as ``avoider_masks`` keeps them) with closed slots s: u with n at s has
+    every deletion of an entry of u in prev. A sibling u is a key K with n-1
+    at a slot t. Deleting n-1 leaves K, at the siblings' slots; deleting K's
+    entry x leaves K without x with n-2 at slot t-1 if x lies left of t,
+    else at t, read from an index once for all of K's siblings. Each is
+    lifted past x's position in u as ``_grow`` lifts a live mask: slots <=
+    pos stay, slots >= pos move up."""
     index: dict[Perm, dict[int, int]] = {}  # J -> {slot of J's maximum: mask of J}
     for key, live in prev.items() if n > 2 else ():
         sub, t = _split(key)
@@ -222,12 +209,11 @@ def certify_map(
     (by count), and the roundtrip where an inverse exists.
 
     The target class is walked first, by ``avoider_masks``, up to length
-    max_n - 1 and never at max_n. An image is a member when the dead-slot
-    mask of the image without its maximum has the slot of that maximum
-    live; the target sizes are the live slots summed over those masks. An
-    image the masks reject is confirmed by the pattern search
-    ``avoids_basis`` before it is reported, as is the empty image, which
-    has no parent mask.
+    max_n - 1 and never at max_n. An image is a member when the live-slot
+    mask of the image without its maximum has the slot of that maximum set;
+    the target sizes are the set slots summed over those masks. An image
+    the masks reject is confirmed by the pattern search ``avoids_basis``
+    before it is reported, as is the empty image, which has no parent mask.
 
     The source is then streamed through ``_walk_rank_free``, every member
     with its siblings under their parent (the root () on its own); the
@@ -235,15 +221,16 @@ def certify_map(
     each member, the inverse right after it, and neither makes the patience
     pass when the walk says the member has no 12...k. No level of either
     class is kept as a set. Each image sets one hit bit keyed the same way,
-    above the dead slots of its key in the target masks. An image equal to
-    its member is keyed by the tree (key the parent, slot the child's), and
-    the parent's hit bits are OR-ed in once, after one collision test. A
-    key the target lacks enters with all its slots dead, so its images go
-    to the pattern search and it adds no target member. A hit bit found set
-    is a collision, and the image sizes are popcounts. The counterexample
-    is the one a sorted sweep meets first: at the least length with a
-    violation, the least input whose image leaves the target or fails the
-    roundtrip (the image check first), else the collision."""
+    above the live slots of its key in the target masks, by one writer that
+    reads the key's mask as it writes. An image equal to its member is keyed
+    by the tree (key the parent, slot the child's), and the parent's hit
+    bits are written at once, after its last child. A key the target lacks
+    has no live slot, so its images go to the pattern search and it adds no
+    target member. A hit bit found set is a collision, and the image sizes
+    are popcounts. The counterexample is the one a sorted sweep meets
+    first: at the least length with a violation, the least input whose
+    image leaves the target or fails the roundtrip (the image check first),
+    else the collision."""
     if map_name not in ("F", "G", "H"):
         raise UsageError(f"cannot certify map {map_name!r} (expected F, G, or H)")
     x = _param(map_name, i, j)
@@ -256,24 +243,22 @@ def certify_map(
     collided = [False] * (max_n + 1)
     least: list = [None] * (max_n + 1)  # per length: (input, counterexample)
 
-    def place(w: Perm) -> tuple[int, int]:
-        # set w's hit bit, above the n slots of its key's mask (all dead off the target)
-        n = len(w)
-        if not n:
-            return 1, 0  # () has no key: its slot reads dead
-        key, s = _split(w)
-        dead = masks.setdefault(key, (1 << n) - 1)
-        if dead >> (s + n) & 1:
+    def place(key: Perm, bits: int) -> int:
+        # set the hit bits ``bits`` above the n slots of key's mask, read as
+        # it is now (no live slot off the target), and return that mask
+        n = len(key) + 1
+        known = masks.get(key, 0)
+        if known >> n & bits:
             collided[n] = True
-        masks[key] = dead | 1 << (s + n)
-        return dead, s
+        masks[key] = known | bits << n
+        return known
 
-    def check(p: Perm, w: Perm, back: Perm, dead: int, s: int) -> None:
+    def check(p: Perm, w: Perm, back: Perm, known: int, s: int) -> None:
         # the membership bit, slot s of the image's key mask, then the
         # roundtrip: ``back`` is the inverse's output (p without an inverse)
         n = len(p)
         reason = None
-        if dead >> s & 1 and not avoids_basis(w, target):
+        if not known >> s & 1 and not avoids_basis(w, target):
             escaped[n] = True
             reason = "image leaves the target class"
         if back != p:
@@ -287,7 +272,7 @@ def certify_map(
 
     def family(p: Perm, live: int, bound: int) -> None:
         n = len(p) + 1
-        dead, hits = masks.get(p, (1 << n) - 1), 0
+        known, hits = masks.get(p, 0), 0  # read for its live slots, which never change
         for s in range(n):
             if not live >> s & 1:
                 continue
@@ -296,26 +281,24 @@ def certify_map(
             w = kernel(child, k, x, free)[0]
             back = child if backward is None else backward(w, k, x, free and w == child)[0]
             if w != child:
-                check(child, w, back, *place(w))
+                key, t = _split(w)
+                check(child, w, back, place(key, 1 << t), t)
                 continue
             hits |= 1 << s  # keyed by the tree: key p, slot s
-            if dead >> s & 1 or back != child:
-                check(child, w, back, dead, s)
+            if not known >> s & 1 or back != child:
+                check(child, w, back, known, s)
         if hits:
-            dead = masks.setdefault(p, dead)
-            if dead >> n & hits:
-                collided[n] = True
-            masks[p] = dead | hits << n
+            place(p, hits)
 
     src_sizes = _walk_rank_free(source, k, max_n, family, node_budget)
-    if src_sizes[0]:  # the root has no parent to take it
+    if src_sizes[0]:  # the root has no parent or key: its slot reads 0
         w = kernel((), k, x, True)[0]
-        check((), w, () if backward is None else backward(w, k, x, w == ())[0], *place(w))
+        check((), w, () if backward is None else backward(w, k, x, w == ())[0], 0, 0)
     tgt_sizes = [int(avoids_basis((), target))] + [0] * max_n
     image_sizes = src_sizes[:1] + [0] * max_n  # () has one image, itself
     for key, bits in masks.items():
         n1 = len(key) + 1
-        tgt_sizes[n1] += (~bits & ((1 << n1) - 1)).bit_count()
+        tgt_sizes[n1] += (bits & ((1 << n1) - 1)).bit_count()
         image_sizes[n1] += (bits >> n1).bit_count()
     rows: list[dict] = []
     counterexample: dict | None = None
@@ -413,10 +396,10 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
 
     The source is streamed through ``_walk_rank_free``, every member with
     its siblings under their parent, and H's output-only kernel; image[n]
-    is kept as live masks, {w without its maximum: the slots of that
-    maximum}, like ``avoider_masks`` with the bits inverted. An image equal
-    to its member takes its key and slot from the tree, the parent and the
-    slot of the child, and the parent's bits are OR-ed in once.
+    is kept as ``avoider_masks`` keeps a class, {w without its maximum: the
+    slots of that maximum}. An image equal to its member takes its key and
+    slot from the tree, the parent and the slot of the child, and the
+    parent's bits are OR-ed in once.
     No sweep over all n! permutations: a minimal non-member q of length n
     has q without its maximum in image[n-1], so the candidates are the n
     insertions of a new maximum into each parent in image[n-1]. Deleting
@@ -453,8 +436,11 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
     sizes = _walk_rank_free(map_classes("H", k, j)[0], k, max_len, family, node_budget)
     for n in range(1, max_len + 1):
         sizes[n] = sum(live.bit_count() for live in image[n].values())
+
     def members(n: int):
-        return _unpack(image[n], n) if n else [()][: sizes[0]]
+        if not n:
+            return [()][: sizes[0]]
+        return [w for key, live in image[n].items() for w in _members(key, live)]
 
     minimal: list[Perm] = []
     for n in range(1, max_len + 1):
@@ -464,7 +450,7 @@ def discover_basis(k: int, j: int, max_len: int, *, node_budget: int | None = No
             live = here.get(parent, 0)
             closed_members += (closed & live).bit_count()
             if outside := closed & ~live:
-                minimal.extend(_unpack({parent: outside}, n))
+                minimal.extend(_members(parent, outside))
         if closed_members != sizes[n]:
             inside = set(members(n - 1))
             w = min(w for w in members(n) if not deletions(w) <= inside)
@@ -585,8 +571,11 @@ def sandwich_check(
     k: int, j: int, max_n: int, *, node_budget: int | None = None
 ) -> SandwichReport:
     """Verify |Av_n(12...k)| <= |Av_n(D(k,j))| <= |Av_n(M(k,j,j))| exactly for
-    n <= max_n, and the set inclusions themselves for n <= min(max_n, 8).
-    Raises VerificationFailure with a witness on any violation."""
+    n <= max_n, and the set inclusions for every n off the bases: Av(A) lies
+    in Av(B) iff each pattern of B contains one of A, and at the least length
+    where one does not, the patterns of B there that avoid A are exactly the
+    members of Av(A) outside Av(B). Raises VerificationFailure with a witness
+    on any violation."""
     if not 2 <= j <= k:
         raise UsageError(f"j must be in 2..k, got j={j}, k={k}")
     mid = distant_monotone_basis(k, j)  # refuses a huge k before 12...k is built
@@ -607,18 +596,16 @@ def sandwich_check(
                 witness=n,
             )
         rows.append({"n": n, **dict(zip(("lower", "mid", "upper"), counts))})
-    incl_to = min(max_n, 8)
-    levels = [(levels_avoiders(b, incl_to, node_budget=node_budget), name) for b, name in chain]
-    for n in range(incl_to + 1):
-        for (inner, name), (outer, wider) in zip(levels, levels[1:]):
-            bad = inner[n] - outer[n]
-            if bad:
-                raise VerificationFailure(
-                    f"set inclusion fails at n={n} for k={k}, j={j}: "
-                    f"{format_perm(min(bad))} avoids {name} but not {wider}",
-                    witness=min(bad),
-                )
-    return SandwichReport(k=k, j=j, max_n=max_n, rows=tuple(rows), inclusions_checked_to=incl_to)
+    links = enumerate(zip(chain, chain[1:]))
+    bad = [(len(q), i, q) for i, ((a, _), (b, _)) in links for q in b if avoids_basis(q, a)]
+    if bad:
+        n, i, q = min(bad)
+        raise VerificationFailure(
+            f"set inclusion fails at n={n} for k={k}, j={j}: "
+            f"{format_perm(q)} avoids {chain[i][1]} but not {chain[i + 1][1]}",
+            witness=q,
+        )
+    return SandwichReport(k=k, j=j, max_n=max_n, rows=tuple(rows), inclusions_checked_to=max_n)
 
 
 # -- almost-distant survey (experiment) --------------------------------------

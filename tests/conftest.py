@@ -264,8 +264,8 @@ def reference_new_kills(p, live, patterns):
     maximum, then without that) is listed and scattered to the live slots
     s0 it serves, killing the child slots between the child positions of q'
     indices m-1 and m. Entry s0 is the new dead-slot mask of the child with
-    the maximum at slot s0; a child's mask is the parent's, shifted past s0,
-    OR this entry."""
+    the maximum at slot s0; a child's live mask is the parent's, lifted past
+    s0, AND NOT this entry."""
     n = len(p)
     new, pos, vals, stops = [0] * (n + 1), [0] * n, [0] * n, [0] * n
 

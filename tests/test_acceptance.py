@@ -197,7 +197,7 @@ def test_c09_count_sandwich():
             for j in range(2, k + 1):
                 report = sandwich_check(k, j, max_n)
                 assert report.max_n == max_n
-                assert report.inclusions_checked_to == min(max_n, 8)
+                assert report.inclusions_checked_to == max_n
 
 
 def test_c10_classical_anchors():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import patlab.enumeration as enumeration
+import patlab.verification as verification
 from conftest import oracle_avoids_basis, oracle_monotone_count, perms, reference_new_kills
 from patlab import (
     BudgetExceededError,
@@ -336,7 +337,7 @@ class TestParallel:
 
 
 class TestKernelOracle:
-    """The dead-slot masks and the trees they prune, on random bases."""
+    """The live-slot masks and the trees they prune, on random bases."""
 
     @staticmethod
     def assert_masks_are_dead_slots(basis, max_len=6):
@@ -400,20 +401,20 @@ class TestKernelOracle:
 
         def member(w):
             s = w.index(n)
-            dead = masks.get(w[:s] + w[s + 1 :])
-            return dead is not None and not dead >> s & 1
+            live = masks.get(w[:s] + w[s + 1 :])
+            return live is not None and live >> s & 1
 
         want = brute_force_avoiders(n, basis)
         assert {w for w in permutations(range(1, n + 1)) if member(w)} == want
-        live = sum((~d & ((1 << n) - 1)).bit_count() for p, d in masks.items() if len(p) == n - 1)
+        live = sum(m.bit_count() for p, m in masks.items() if len(p) == n - 1)
         assert live == len(want)
 
     def test_avoider_masks_edges(self):
         assert avoider_masks(basis_of(["12"]), 0) == {}
-        assert avoider_masks(basis_of(["12"]), 1) == {(): 0}
+        assert avoider_masks(basis_of(["12"]), 1) == {(): 1}
         # a pattern of length 1 kills the root's one slot: Av_n is empty for n >= 1
-        assert avoider_masks(basis_of(["1"]), 1) == {(): 1}
-        assert avoider_masks(basis_of(["1", "123"]), 4) == {(): 1}
+        assert avoider_masks(basis_of(["1"]), 1) == {(): 0}
+        assert avoider_masks(basis_of(["1", "123"]), 4) == {(): 0}
         with pytest.raises(UsageError):
             avoider_masks(basis_of(["12"]), -1)
 
@@ -425,6 +426,26 @@ class TestKernelOracle:
             avoider_masks(basis_of(["123"]), 3, node_budget=3)
         with pytest.raises(BudgetExceededError):
             count_sequence(3, basis_of(["123"]), node_budget=8)
+
+    @settings(max_examples=30)
+    @given(BASES)
+    def test_closed_slots_find_the_minimal_patterns(self, basis):
+        # the deletion closure of basis discovery, run on any class's masks:
+        # its minimal non-members are the minimal patterns of the basis
+        masks = avoider_masks(basis, 7)
+        sizes = count_sequence(7, basis).values()
+        for n in range(2, 8):
+            prev = {p: live for p, live in masks.items() if len(p) == n - 2}
+            minimal, closed_members = set(), 0
+            for u, closed in verification._closed_slots(prev, n):
+                closed_members += (closed & masks[u]).bit_count()
+                minimal.update(enumeration._members(u, closed & ~masks[u]))
+            want = {
+                q for q in basis.patterns
+                if len(q) == n and oracle_avoids_basis(q, [r for r in basis.patterns if r != q])
+            }
+            assert minimal == want, (basis.patterns, n)
+            assert closed_members == sizes[n], (basis.patterns, n)
 
     @settings(max_examples=6)
     @given(BASES)
@@ -443,14 +464,13 @@ class TestKillSweeps:
 
         def check(p, live):
             parents.append(p)
-            dead = live ^ ((1 << (len(p) + 1)) - 1)
             got = enumeration._new_kills(p, live, table)
             want = reference_new_kills(p, live, basis.patterns)
             for s0 in range(len(p) + 1):
                 if live >> s0 & 1:
-                    # the child's mask: p's, shifted past the new maximum
-                    inherited = (dead & ((1 << (s0 + 1)) - 1)) | ((dead >> s0) << (s0 + 1))
-                    assert inherited | got[s0] == inherited | want[s0], (basis.label, p, s0)
+                    # the child's live mask: p's, lifted past the new maximum
+                    inherited = (live & ((2 << s0) - 1)) | ((live >> s0) << (s0 + 1))
+                    assert inherited & ~got[s0] == inherited & ~want[s0], (basis.label, p, s0)
 
         walk(basis, max_len, check)
         assert max(map(len, parents)) == max_len - 1

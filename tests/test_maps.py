@@ -165,20 +165,24 @@ class TestMapF:
         for p in sorted(members[6]):
             assert avoids_basis(map_F(p, 4, 0, validate=False).output, t2)
 
-    def test_invert_rejects_non_image(self):
-        # 21 swapped by F(k=2, i=0) never produces 21 back at the front step
+    def test_invert_rejects_non_image(self, monkeypatch, capsys):
+        # F is a bijection, so no member of its target is outside its image;
+        # a Finv kernel that reverses its input reconstructs 321 from 123,
+        # which F does not map back to 123, and the roundtrip check refuses it
         from patlab import NotInImageError
+        from patlab.cli import main
 
-        # build a permutation outside the image: for k=2, i=0 the image of
-        # Av(M(2,1,1)) inside Av(M(2,2,2)) misses something at n=3
-        k, i = 2, 0
-        src = monotone_members(k, 1, 1, 3)[3]
-        image = {map_F(p, k, i, validate=False).output for p in src}
-        outside = monotone_members(k, 2, 2, 3)[3] - image
-        if outside:
-            w = sorted(outside)[0]
-            with pytest.raises(NotInImageError):
-                invert_F(w, k, i)
+        monkeypatch.setitem(maps._MAPS, "Finv", maps._MAPS["Finv"]._replace(
+            kernel=lambda w, k, i, free=False: (w[::-1], None),
+        ))
+        message = "123 is not in the image of the step (k=3, i=1): reconstruction does not map back"
+        with pytest.raises(NotInImageError) as err:
+            invert_F((1, 2, 3), 3, 1)
+        assert str(err.value) == message
+        assert main(["map", "--map", "Finv", "--k", "3", "--i", "1", "--perm", "123"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestMapG:

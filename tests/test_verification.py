@@ -12,11 +12,13 @@ from patlab import (
     UsageError,
     VerificationFailure,
     avoids_basis,
+    brute_force_avoiders,
     certify_map,
     construct_S_explicit,
     count_sequence,
     discover_basis,
     distant_growth_bounds,
+    distant_monotone_basis,
     format_perm,
     growth_diagnostics,
     invert_F,
@@ -684,42 +686,67 @@ class TestSandwich:
         report = sandwich_check(4, 3, 6)
         assert all(r["lower"] <= r["mid"] <= r["upper"] for r in report.rows)
 
-    @pytest.mark.parametrize("layer, label, message, witness", [
+    @pytest.mark.parametrize("k, j", [(k, j) for k in (3, 4) for j in range(2, k + 1)])
+    def test_enumerated_classes_nest(self, k, j):
+        # the oracle of the inclusions read off the bases: each level of a
+        # class of the chain lies inside the next class's, to n = 8
+        chain = [
+            make_basis([tuple(range(1, k + 1))]),
+            distant_monotone_basis(k, j),
+            monotone_basis(k, j, j),
+        ]
+        levels = [levels_avoiders(basis, 8) for basis in chain]
+        for n in range(9):
+            assert levels[0][n] <= levels[1][n] <= levels[2][n], (k, j, n)
+        assert sandwich_check(k, j, 8).inclusions_checked_to == 8
+
+    @pytest.mark.parametrize("layer, extra, message, witness", [
         # D(3,2) counts 1000 more from n=4 on, above M(3,2,2) first at n=4
-        ("count_sequence", "D(3,2)", "count sandwich fails at n=4 for k=3, j=2: 14, 1020, 21", 4),
-        # 2134, 1423 and 21345 contain D(3,2) and M(3,2,2)
-        ("levels_avoiders", "123",
-         "set inclusion fails at n=4 for k=3, j=2: 1423 avoids 12...k but not D(3,2)",
-         (1, 4, 2, 3)),
-        ("levels_avoiders", "D(3,2)",
-         "set inclusion fails at n=4 for k=3, j=2: 1423 avoids D(3,2) but not M(3,2,2)",
-         (1, 4, 2, 3)),
+        ("count_sequence", None, "count sandwich fails at n=4 for k=3, j=2: 14, 1020, 21", 4),
+        # 2143 avoids 123 and joins the basis of D(3,2), as does 21543, which
+        # contains it (so no count moves): the least is named
+        ("distant_monotone_basis", ("2143", "21543"),
+         "set inclusion fails at n=4 for k=3, j=2: 2143 avoids 12...k but not D(3,2)",
+         (2, 1, 4, 3)),
+        # 7654321 avoids D(3,2) and joins the basis of M(3,2,2), as does
+        # 87654321: past max_n = 6
+        ("monotone_basis", ("7654321", "87654321"),
+         "set inclusion fails at n=7 for k=3, j=2: 7654321 avoids D(3,2) but not M(3,2,2)",
+         (7, 6, 5, 4, 3, 2, 1)),
     ], ids=["counts", "lower-in-mid", "mid-in-upper"])
     def test_each_violation_names_the_least_witness(
-        self, monkeypatch, layer, label, message, witness
+        self, monkeypatch, layer, extra, message, witness
     ):
         real = getattr(verification, layer)
 
         def more_counts(max_n, basis, **kwargs):
             seq = real(max_n, basis, **kwargs)
-            if basis.label != label:
+            if basis.label != "D(3,2)":
                 return seq
             counts = tuple((n, c + 1000 * (n >= 4)) for n, c in seq.counts)
             return CountSequence(seq.basis_label, counts, seq.method)
 
-        def more_members(basis, max_n, **kwargs):
-            levels = real(basis, max_n, **kwargs)
-            if basis.label == label:
-                for p in [(2, 1, 3, 4), (1, 4, 2, 3), (2, 1, 3, 4, 5)]:
-                    levels[len(p)].add(p)
-            return levels
+        def more_patterns(*args):
+            basis = real(*args)
+            return make_basis([*basis, *map(parse_perm, extra)], label=basis.label)
 
-        broken = more_counts if layer == "count_sequence" else more_members
-        monkeypatch.setattr(verification, layer, broken)
+        monkeypatch.setattr(verification, layer, more_counts if extra is None else more_patterns)
         with pytest.raises(VerificationFailure) as err:
             sandwich_check(3, 2, 6)
         assert str(err.value) == message
         assert err.value.witness == witness
+        if extra is None:
+            return
+        # by brute force: the classes nest below the witness's length, and it
+        # is the least member of the inner class outside the outer at it
+        if layer == "distant_monotone_basis":
+            inner, outer = make_basis([(1, 2, 3)]), verification.distant_monotone_basis(3, 2)
+        else:
+            inner, outer = distant_monotone_basis(3, 2), verification.monotone_basis(3, 2, 2)
+        n = len(witness)
+        for m in range(n):
+            assert brute_force_avoiders(m, inner) <= brute_force_avoiders(m, outer), m
+        assert min(brute_force_avoiders(n, inner) - brute_force_avoiders(n, outer)) == witness
 
 
 class TestSurvey:
